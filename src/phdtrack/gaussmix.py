@@ -9,6 +9,13 @@ samples, optionally with the component each draw came from.
 Total mixture mass is the expected target count, so weights are free to
 sum to any nonnegative value; nothing here normalizes unless a routine
 says so explicitly (sampling normalizes an internal copy only).
+
+Every covariance is checked for symmetry and positive semidefiniteness
+once, by check_covariances, where it is computed.  The public
+GaussianMixture constructor checks every covariance it is given; the
+recursions check the covariances they compute and build their mixtures
+through GaussianMixture._assemble, which trusts covariances that were
+already checked, so a matrix carried from step to step is not re-checked.
 """
 
 from __future__ import annotations
@@ -38,6 +45,22 @@ def floor_covariance(cov: np.ndarray) -> np.ndarray:
     if np.linalg.eigvalsh(cov)[0] < eps:
         return cov + eps * np.eye(n)
     return cov
+
+
+def check_covariances(covs: np.ndarray) -> None:
+    """Raise ValueError unless every (n, n) matrix in covs is symmetric and PSD.
+
+    Symmetric means no entry differs from its transpose by more than
+    SYMMETRY_TOL; PSD means no eigenvalue below EIG_TOL.  An empty stack
+    passes.
+    """
+    covs = np.asarray(covs, dtype=float)
+    if len(covs) == 0:
+        return
+    if np.abs(covs - np.swapaxes(covs, -1, -2)).max() > SYMMETRY_TOL:
+        raise ValueError("covariances must be symmetric")
+    if np.linalg.eigvalsh(covs)[..., 0].min() < EIG_TOL:
+        raise ValueError("a covariance has an eigenvalue below the PSD tolerance")
 
 
 def floor_covariances(covs: np.ndarray) -> np.ndarray:
@@ -75,10 +98,7 @@ class GaussianComponent:
         n = mean.shape[0]
         if cov.shape != (n, n):
             raise ValueError(f"cov shape {cov.shape} does not match mean dimension {n}")
-        if np.abs(cov - cov.T).max(initial=0.0) > SYMMETRY_TOL:
-            raise ValueError("cov is not symmetric")
-        if np.linalg.eigvalsh(cov)[0] < EIG_TOL:
-            raise ValueError("cov has an eigenvalue below the PSD tolerance")
+        check_covariances(cov)
 
 
 @dataclass(frozen=True)
@@ -93,6 +113,9 @@ class GaussianMixture:
     intensity it belongs to: the ensemble filter keeps one part per target
     hypothesis, so that each part gets its own kernel and its own state
     estimate.  Left out, every component is in part 0.
+
+    The constructor checks the layout and every covariance
+    (check_covariances); _assemble checks the layout only.
     """
 
     weights: np.ndarray
@@ -101,6 +124,29 @@ class GaussianMixture:
     parts: np.ndarray | None = None
 
     def __post_init__(self):
+        self._check_layout()
+        check_covariances(self.covs)
+
+    @classmethod
+    def _assemble(cls, weights, means, covs, parts=None) -> "GaussianMixture":
+        """A mixture built from covariances that were already checked.
+
+        The rule: every covariance passed in was checked once, by
+        check_covariances, where it was computed, or comes from a mixture
+        that was itself built under this rule or by the public
+        constructor.  The shapes, part labels, weights and means are
+        checked as the constructor checks them; only the covariance check
+        is skipped.
+        """
+        mixture = object.__new__(cls)
+        for name, value in (("weights", weights), ("means", means), ("covs", covs),
+                            ("parts", parts)):
+            object.__setattr__(mixture, name, value)
+        mixture._check_layout()
+        return mixture
+
+    def _check_layout(self):
+        """Coerce the fields to arrays and check everything but the covariances."""
         w = np.asarray(self.weights, dtype=float)
         m = np.asarray(self.means, dtype=float)
         p = np.asarray(self.covs, dtype=float)
@@ -125,10 +171,6 @@ class GaussianMixture:
             raise ValueError("weights must be finite and >= 0")
         if not np.all(np.isfinite(m)):
             raise ValueError("means must be finite")
-        if np.abs(p - np.swapaxes(p, -1, -2)).max() > SYMMETRY_TOL:
-            raise ValueError("covariances must be symmetric")
-        if np.linalg.eigvalsh(p)[..., 0].min() < EIG_TOL:
-            raise ValueError("a covariance has an eigenvalue below the PSD tolerance")
 
     def __len__(self) -> int:
         return self.weights.shape[0]
@@ -218,12 +260,12 @@ def kde_from_particles(states: np.ndarray, mass: float,
     resid = states - (centres / counts[:, None])[inverse]
     dof = j - counts.size
     pooled = resid.T @ resid / dof if dof > 0 else np.zeros((n, n))
-    covs = np.empty((j, n, n))
+    kernels = np.empty((counts.size, n, n))
     for label, count in enumerate(counts):
-        members = inverse == label
-        base = np.atleast_2d(np.cov(states[members].T, ddof=1)) if count > n else pooled
-        covs[members] = floor_covariance(silverman_bandwidth(n, int(count)) * base)
-    return GaussianMixture(np.full(j, mass / j), states.copy(), covs, parts)
+        base = np.atleast_2d(np.cov(states[inverse == label].T, ddof=1)) if count > n else pooled
+        kernels[label] = floor_covariance(silverman_bandwidth(n, int(count)) * base)
+    check_covariances(kernels)
+    return GaussianMixture._assemble(np.full(j, mass / j), states.copy(), kernels[inverse], parts)
 
 
 def eval_gaussian(x: np.ndarray, mean: np.ndarray, cov: np.ndarray) -> float:

@@ -73,7 +73,9 @@ def engm_predict(state: EngmPhdState, models: "_models.Models",
     kde_from_particles).  The birth components, as gm_predict draws them
     (sampled means, the full birth covariance, weight_each apiece), follow
     as one new part.  With no birth material the survivor KDE is returned
-    alone; with zero survivor mass, the birth components are.
+    alone; with zero survivor mass, the birth components are.  Both pieces
+    had their covariances checked where they were computed, so joining
+    them checks nothing new.
     """
     motion = models.motion
     cloud = state.particles
@@ -85,9 +87,9 @@ def engm_predict(state: EngmPhdState, models: "_models.Models",
     births = _models.sample_births(models.birth, rng, kind="gaussian-components")
     birth_parts = np.full(len(births), int(state.parts.max(initial=-1)) + 1)
     if surviving_mass <= 0.0:
-        return GaussianMixture(births.weights, births.means, births.covs, birth_parts)
+        return GaussianMixture._assemble(births.weights, births.means, births.covs, birth_parts)
     kde = kde_from_particles(survivors, surviving_mass, state.parts)
-    return GaussianMixture(
+    return GaussianMixture._assemble(
         np.concatenate([kde.weights, births.weights]),
         np.concatenate([kde.means, births.means]),
         np.concatenate([kde.covs, births.covs]),

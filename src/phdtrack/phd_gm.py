@@ -4,7 +4,8 @@ Prediction pushes every component through the constant-velocity map and
 appends spawn and birth components; the update runs a bank of extended
 Kalman corrections, one missed-detection copy plus one corrected copy per
 measurement.  Mixture growth is contained by prune / merge / cap, which
-preserves total mass by rescaling.
+preserves total mass by rescaling.  Each stage checks the covariances it
+computes and nothing else (see gaussmix).
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import models as _models
-from .gaussmix import GaussianMixture, floor_covariances
+from .gaussmix import GaussianMixture, check_covariances, floor_covariances
 
 
 @dataclass(frozen=True)
@@ -56,12 +57,13 @@ def gm_predict(posterior: GaussianMixture, models: "_models.Models",
         weights.append(term.weight * posterior.weights)
         means.append(posterior.means + np.asarray(term.offset, dtype=float))
         covs.append(posterior.covs + np.asarray(term.cov, dtype=float))
+    check_covariances(np.concatenate(covs))
     births = _models.sample_births(models.birth, rng, kind="gaussian-components")
     weights.append(births.weights)
     means.append(births.means)
     covs.append(births.covs)
-    return GaussianMixture(np.concatenate(weights), np.concatenate(means),
-                           np.concatenate(covs))
+    return GaussianMixture._assemble(np.concatenate(weights), np.concatenate(means),
+                                     np.concatenate(covs))
 
 
 def _ekf_phd_update(prior: GaussianMixture, scan: "_models.MeasurementScan",
@@ -102,6 +104,7 @@ def _ekf_phd_update(prior: GaussianMixture, scan: "_models.MeasurementScan",
         k_gain = np.einsum("aij,akj,akl->ail", p, h, s_inv)
         p_post = p - np.einsum("aij,ajk,akl->ail", k_gain, h, p)
         p_post = floor_covariances(0.5 * (p_post + np.swapaxes(p_post, -1, -2)))
+        check_covariances(p_post)
         ang = meas.angular
         z_dim = r.shape[0]
         log_norm = z_dim * np.log(2.0 * np.pi) + log_det
@@ -122,8 +125,8 @@ def _ekf_phd_update(prior: GaussianMixture, scan: "_models.MeasurementScan",
             out_w.append(np.zeros(0))
             out_m.append(np.zeros((0, prior.dim)))
             out_p.append(np.zeros((0, prior.dim, prior.dim)))
-    return GaussianMixture(np.concatenate(out_w), np.concatenate(out_m),
-                           np.concatenate(out_p), out_parts)
+    return GaussianMixture._assemble(np.concatenate(out_w), np.concatenate(out_m),
+                                     np.concatenate(out_p), out_parts)
 
 
 def gm_update(prior: GaussianMixture, scan: "_models.MeasurementScan",
@@ -161,6 +164,7 @@ def prune_merge_cap(mixture: GaussianMixture, config: GmPhdConfig) -> GaussianMi
     m = mixture.means[keep]
     p = mixture.covs[keep]
     merged_w, merged_m, merged_p = [], [], []
+    unmerged = np.ones(len(w), dtype=bool)
     alive = np.arange(len(w))
     while alive.size:
         seed = alive[int(np.argmax(w[alive]))]
@@ -176,17 +180,19 @@ def prune_merge_cap(mixture: GaussianMixture, config: GmPhdConfig) -> GaussianMi
         merged_w.append(total)
         merged_m.append(mean)
         merged_p.append(0.5 * (cov + cov.T))
-        alive = np.setdiff1d(alive, cluster, assume_unique=True)
+        unmerged[cluster] = False
+        alive = np.flatnonzero(unmerged)
     w = np.array(merged_w)
     m = np.array(merged_m)
     p = np.array(merged_p)
     if w.size > config.max_components:
         top = np.sort(np.argsort(-w, kind="stable")[:config.max_components])
         w, m, p = w[top], m[top], p[top]
+    check_covariances(p)
     current = w.sum()
     if current > 0:
         w = w * (pre_mass / current)
-    return GaussianMixture(w, m, p)
+    return GaussianMixture._assemble(w, m, p)
 
 
 def gm_extract(mixture: GaussianMixture,

@@ -118,6 +118,37 @@ def test_mixture_validation():
         GaussianMixture(np.array([-1.0]), np.zeros((1, 3)), np.eye(3)[None])
     with pytest.raises(ValueError):
         GaussianMixture(np.array([np.nan]), np.zeros((1, 3)), np.eye(3)[None])
+    asymmetric = np.eye(3)
+    asymmetric[0, 1] = 1e-6
+    with pytest.raises(ValueError, match="symmetric"):
+        GaussianMixture(np.ones(2), np.zeros((2, 3)), np.stack([np.eye(3), asymmetric]))
+    with pytest.raises(ValueError, match="PSD"):
+        GaussianMixture(np.ones(2), np.zeros((2, 3)),
+                        np.stack([np.eye(3), np.diag([1.0, -1.0, 1.0])]))
+
+
+def test_assemble_matches_constructor():
+    rng = np.random.default_rng(5)
+    weights = rng.uniform(0.0, 1.0, 4)
+    means = rng.standard_normal((4, 3))
+    covs = np.stack([random_spd(rng, 3) for _ in range(4)])
+    parts = np.array([2, 0, 2, 1], dtype=np.int32)
+    for labels in (None, parts):
+        public = GaussianMixture(weights, means, covs, labels)
+        trusted = GaussianMixture._assemble(weights, means, covs, labels)
+        for field in ("weights", "means", "covs", "parts"):
+            got, expected = getattr(trusted, field), getattr(public, field)
+            assert got.dtype == expected.dtype
+            assert np.array_equal(got, expected)
+    empty = GaussianMixture._assemble(np.zeros(0), np.zeros((0, 2)), np.zeros((0, 2, 2)))
+    assert len(empty) == 0 and empty.parts.shape == (0,)
+    # the layout is still checked; only the covariance check is skipped
+    with pytest.raises(ValueError):
+        GaussianMixture._assemble(np.array([-1.0]), np.zeros((1, 3)), np.eye(3)[None])
+    with pytest.raises(ValueError):
+        GaussianMixture._assemble(np.ones(2), np.zeros((2, 3)), covs[:2], np.array([0]))
+    trusted = GaussianMixture._assemble(np.ones(1), np.zeros((1, 3)), -np.eye(3)[None])
+    assert np.array_equal(trusted.covs, -np.eye(3)[None])
 
 
 def test_mixture_part_labels():
@@ -222,6 +253,15 @@ def test_kde_single_particle_gets_floor():
     kde = kde_from_particles(np.array([[1.0, 2.0, 3.0]]), 2.0)
     assert len(kde) == 1
     assert np.linalg.eigvalsh(kde.covs[0])[0] > 0
+
+
+def test_kde_checks_its_kernels(monkeypatch):
+    import phdtrack.gaussmix as gaussmix
+
+    monkeypatch.setattr(gaussmix, "floor_covariance", lambda cov: -np.eye(len(cov)))
+    states = np.random.default_rng(14).standard_normal((20, 3))
+    with pytest.raises(ValueError, match="PSD"):
+        kde_from_particles(states, 1.0, np.repeat([0, 1], 10))
 
 
 def test_kde_rejects_bad_input():

@@ -264,6 +264,42 @@ def test_merge_respects_threshold():
     assert managed.mass == pytest.approx(0.7, rel=1e-12)
 
 
+def chain_mixture(weights):
+    """A, B, C on the x axis 1.5 apart with unit covariances: A-B and B-C lie
+    within the merge threshold (squared distance 2.25 <= 4), A-C outside (9)."""
+    means = np.zeros((3, 6))
+    means[:, 0] = [0.0, 1.5, 3.0]
+    return GaussianMixture(np.array(weights), means, np.broadcast_to(np.eye(6), (3, 6, 6)).copy())
+
+
+def moment_match(mix, members):
+    w = mix.weights[members]
+    mean = w @ mix.means[members] / w.sum()
+    dm = mix.means[members] - mean
+    cov = sum(wi * (p + np.outer(d, d)) for wi, p, d in zip(w, mix.covs[members], dm)) / w.sum()
+    return w.sum(), mean, cov
+
+
+@pytest.mark.parametrize("weights, clusters", [
+    # the heaviest component seeds the first cluster and takes only its
+    # own neighbours, so the middle one goes with whichever end is heavier
+    ([0.5, 0.3, 0.2], [[0, 1], [2]]),
+    ([0.2, 0.3, 0.5], [[2, 1], [0]]),
+    # a heaviest middle component reaches both ends
+    ([0.3, 0.5, 0.2], [[0, 1, 2]]),
+])
+def test_merge_is_greedy_by_weight_along_a_chain(weights, clusters):
+    mix = chain_mixture(weights)
+    managed = prune_merge_cap(mix, GmPhdConfig())
+    assert len(managed) == len(clusters)
+    for i, members in enumerate(clusters):
+        weight, mean, cov = moment_match(mix, sorted(members))
+        assert managed.weights[i] == pytest.approx(weight, rel=1e-12)
+        assert managed.means[i] == pytest.approx(mean, rel=1e-12, abs=1e-15)
+        assert managed.covs[i] == pytest.approx(cov, rel=1e-12, abs=1e-15)
+    assert managed.mass == pytest.approx(1.0, rel=1e-12)
+
+
 def test_cap_keeps_heaviest_and_rescales():
     config = GmPhdConfig(max_components=3)
     count = 10
@@ -339,3 +375,43 @@ def test_radar_update_smoke():
     assert np.linalg.norm(corrected.means[i, :3] - (x[:3] + [2, -1, 1])) < 2.0
     # correction shrinks the position uncertainty
     assert np.trace(corrected.covs[i][:3, :3]) < np.trace(prior.covs[0][:3, :3])
+
+
+# ---------------------------------------------------------------------------
+# each stage checks the covariances it computes
+
+
+def test_predict_checks_computed_covariances():
+    from types import SimpleNamespace
+
+    from phdtrack.models import transition_matrix
+
+    # a motion model whose process noise was never validated
+    motion = SimpleNamespace(dt=1.0, transition=transition_matrix(1.0),
+                             process_noise=-10.0 * np.eye(6))
+    models = Models(motion=motion, birth=BirthModel(count_per_step=0))
+    posterior = GaussianMixture(np.array([1.0]), np.zeros((1, 6)), np.eye(6)[None])
+    with pytest.raises(ValueError, match="PSD"):
+        gm_predict(posterior, models, np.random.default_rng(0))
+
+
+def test_update_checks_posterior_covariances(monkeypatch):
+    import phdtrack.phd_gm as phd_gm
+
+    monkeypatch.setattr(phd_gm, "floor_covariances", lambda covs: -np.eye(6) + 0.0 * covs)
+    models = Models()
+    x = np.array([60.0, 70.0, 80.0, 0.5, -0.5, 2.0])
+    prior = GaussianMixture(np.array([1.0]), x[None],
+                            np.diag([25.0, 25.0, 25.0, 1.0, 1.0, 1.0])[None])
+    scan = MeasurementScan(models.measurement.measure(x)[None])
+    with pytest.raises(ValueError, match="PSD"):
+        gm_update(prior, scan, models)
+
+
+def test_prune_merge_cap_checks_merged_covariances():
+    # covariances that never passed a check, as if a stage before had
+    # skipped its own
+    bad = GaussianMixture._assemble(np.array([0.5, 0.4]), np.array([[0.0] * 6, [100.0] * 6]),
+                                    np.broadcast_to(-np.eye(6), (2, 6, 6)).copy())
+    with pytest.raises(ValueError, match="PSD"):
+        prune_merge_cap(bad, GmPhdConfig())

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from phdtrack.gaussmix import GaussianMixture
 from phdtrack.models import ClutterModel, DetectionSurvival, Models
 from phdtrack.scenario import (
     FilterNumericalError,
@@ -154,3 +155,90 @@ def test_run_record_failure_flag():
     err = FilterNumericalError(3, ValueError("boom"))
     assert err.step == 3
     assert "step 3" in str(err)
+
+
+def _negative_definite(covs):
+    """-1e9 I in place of every matrix of an (n, n) matrix or a (J, n, n)
+    stack: more negative than moment matching over any spread of the
+    scenario's means can offset."""
+    return np.broadcast_to(-1e9 * np.eye(covs.shape[-1]), covs.shape).copy()
+
+
+def _bad_process_noise(monkeypatch):
+    from types import SimpleNamespace
+
+    from phdtrack.models import transition_matrix
+
+    # a motion model whose process noise -10 I was never validated
+    return {"models": Models(motion=SimpleNamespace(
+        dt=1.0, transition=transition_matrix(1.0), process_noise=-10.0 * np.eye(6)))}
+
+
+def _bad_floor(name):
+    def corrupt(monkeypatch):
+        monkeypatch.setattr(name, _negative_definite)
+    return corrupt
+
+
+def _unchecked_corrected_mixture(monkeypatch):
+    import phdtrack.scenario as scenario
+
+    real = scenario.gm_update
+
+    def update(*args):
+        corrected = real(*args)
+        return GaussianMixture._assemble(corrected.weights, corrected.means,
+                                         _negative_definite(corrected.covs), corrected.parts)
+
+    monkeypatch.setattr(scenario, "gm_update", update)
+
+
+@pytest.mark.parametrize("kind, corrupt", [
+    # gm_predict: the survivor covariances F P F' + Q
+    ("gm", _bad_process_noise),
+    # _ekf_phd_update: the posterior covariances of the measurement blocks
+    ("gm", _bad_floor("phdtrack.phd_gm.floor_covariances")),
+    ("engm", _bad_floor("phdtrack.phd_gm.floor_covariances")),
+    # prune_merge_cap: the merged covariances
+    ("gm", _unchecked_corrected_mixture),
+    # kde_from_particles: one kernel per part
+    ("engm", _bad_floor("phdtrack.gaussmix.floor_covariance")),
+], ids=["gm-predict", "gm-update", "engm-update", "gm-merge", "engm-kde"])
+def test_run_filter_reports_a_bad_computed_covariance(monkeypatch, kind, corrupt):
+    overrides = corrupt(monkeypatch) or {}
+    with pytest.raises(FilterNumericalError) as info:
+        run_filter(tiny_config(filter_kind=kind, **overrides))
+    assert info.value.step == 1
+    assert type(info.value.__cause__) is ValueError
+    assert "PSD" in str(info.value)
+
+# Per-step outputs of the reference scenario (seed 0, first 20 steps),
+# recorded before covariances were checked once where computed.  The
+# change was meant to leave them bit-identical; a change that moves them
+# on purpose updates these values and says why.
+GOLDEN = {
+    "gm": (
+        [0, 0, 1, 2, 2, 1, 2, 2, 2, 2, 2, 2, 2, 2, 2, 1, 2, 2, 2, 2],
+        [100.0, 100.0, 70.71475650366081, 1.025193456772516, 0.5128156785778221,
+         70.74508394928054, 1.8289609448667206, 0.7814637420790138, 1.5288159521616704,
+         1.7259026994196072, 1.4754444845794275, 1.039664789577761, 0.8186727260216562,
+         1.1153081662295887, 0.6397589387272872, 70.71337395697162, 0.5018489234717086,
+         0.6498222627674008, 1.1063984850020483, 1.39251438483907],
+    ),
+    "engm": (
+        [0, 1, 2, 2, 2, 1, 2, 2, 2, 2, 2, 2, 2, 2, 2, 1, 2, 2, 2, 2],
+        [100.0, 70.71880457288108, 1.1704104343688504, 1.85690840795962, 1.700326460616106,
+         70.77101739476875, 2.5406498144799086, 1.2291045754781762, 1.8400140329788586,
+         2.037327678202128, 1.7362171174593901, 1.0103021156834648, 1.144040181537501,
+         1.5384935446347243, 0.9240213331394316, 70.71798453750148, 1.2277417182203103,
+         1.2201642591568556, 1.7340258172116678, 1.8898108199241876],
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(GOLDEN))
+def test_seeded_outputs_match_recorded_values(kind):
+    records = run_filter(ScenarioConfig(t_end=20.0, seed=0, filter_kind=kind, runs=1))
+    n_hat, ospa_total = GOLDEN[kind]
+    assert [r.n_hat for r in records] == n_hat
+    assert [r.ospa_total for r in records] == pytest.approx(ospa_total, rel=0.0, abs=1e-12)
