@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 from phdtrack.gaussmix import GaussianMixture
 from phdtrack.models import (
@@ -17,6 +19,7 @@ from phdtrack.models import (
     SpawnModel,
     dwna_process_noise,
 )
+from phdtrack import phd_gm
 from phdtrack.phd_gm import GmPhdConfig, gm_extract, gm_predict, gm_update, prune_merge_cap
 
 
@@ -298,6 +301,133 @@ def test_merge_is_greedy_by_weight_along_a_chain(weights, clusters):
         assert managed.means[i] == pytest.approx(mean, rel=1e-12, abs=1e-15)
         assert managed.covs[i] == pytest.approx(cov, rel=1e-12, abs=1e-15)
     assert managed.mass == pytest.approx(1.0, rel=1e-12)
+
+
+def reference_prune_merge_cap(mixture, config):
+    """prune_merge_cap as it was before its merge distances were batched:
+    one solve in the seed's covariance per greedy iteration.  Kept as the
+    oracle for the partition, the arithmetic and the output order."""
+    if len(mixture) == 0:
+        return mixture
+    pre_mass = mixture.mass
+    keep = mixture.weights >= config.prune_threshold
+    if not np.any(keep):
+        keep = np.zeros(len(mixture), dtype=bool)
+        keep[int(np.argmax(mixture.weights))] = True
+    w = mixture.weights[keep]
+    m = mixture.means[keep]
+    p = mixture.covs[keep]
+    merged_w, merged_m, merged_p = [], [], []
+    unmerged = np.ones(len(w), dtype=bool)
+    alive = np.arange(len(w))
+    while alive.size:
+        seed = alive[int(np.argmax(w[alive]))]
+        diff = m[alive] - m[seed]
+        solved = np.linalg.solve(p[seed], diff.T)
+        d2 = np.einsum("ij,ji->i", diff, solved)
+        cluster = alive[d2 <= config.merge_threshold]
+        cw = w[cluster]
+        total = cw.sum()
+        mean = cw @ m[cluster] / total
+        dm = m[cluster] - mean
+        cov = np.einsum("a,aij->ij", cw, p[cluster] + dm[:, :, None] * dm[:, None, :]) / total
+        merged_w.append(total)
+        merged_m.append(mean)
+        merged_p.append(0.5 * (cov + cov.T))
+        unmerged[cluster] = False
+        alive = np.flatnonzero(unmerged)
+    w = np.array(merged_w)
+    m = np.array(merged_m)
+    p = np.array(merged_p)
+    if w.size > config.max_components:
+        top = np.sort(np.argsort(-w, kind="stable")[:config.max_components])
+        w, m, p = w[top], m[top], p[top]
+    current = w.sum()
+    if current > 0:
+        w = w * (pre_mass / current)
+    return GaussianMixture(w, m, p)
+
+
+def assert_bit_identical(managed, expected):
+    for got, want in [(managed.weights, expected.weights), (managed.means, expected.means),
+                      (managed.covs, expected.covs)]:
+        assert got.shape == want.shape
+        assert np.array_equal(got, want)
+
+
+def random_mixture(rng, count, dim):
+    """Clustered means, SPD covariances over three decades of scale, and
+    weights over seven decades, so some fall below the prune threshold."""
+    centres = rng.normal(scale=10.0, size=(max(1, count // 4), dim))
+    means = centres[rng.integers(len(centres), size=count)] + rng.normal(size=(count, dim))
+    factors = rng.normal(size=(count, dim, dim))
+    scales = 10.0 ** rng.uniform(-1.0, 2.0, size=count)
+    covs = scales[:, None, None] * (factors @ np.swapaxes(factors, -1, -2) / dim + 0.1 * np.eye(dim))
+    covs = 0.5 * (covs + np.swapaxes(covs, -1, -2))
+    weights = 10.0 ** rng.uniform(-7.0, 0.0, size=count)
+    return GaussianMixture(weights, means, covs)
+
+
+def pairwise_d2(mixture, config):
+    """Squared distance of every kept component from every other kept one,
+    in the first one's covariance."""
+    kept = mixture.weights >= config.prune_threshold
+    m, p = mixture.means[kept], mixture.covs[kept]
+    diff = m[None] - m[:, None]
+    d2 = np.einsum("sjd,sdj->sj", diff, np.linalg.solve(p, np.swapaxes(diff, -1, -2)))
+    np.fill_diagonal(d2, np.inf)
+    return d2
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(seed=st.integers(0, 2**32 - 1), count=st.integers(1, 200), dim=st.integers(1, 6),
+       max_components=st.integers(1, 100), merge_threshold=st.sampled_from([0.0, 1.0, 4.0, 16.0]))
+def test_merge_matches_one_solve_per_seed(seed, count, dim, max_components, merge_threshold):
+    mix = random_mixture(np.random.default_rng(seed), count, dim)
+    config = GmPhdConfig(merge_threshold=merge_threshold, max_components=max_components)
+    # a distance within roundoff of the threshold may fall either side of
+    # it under a different (equally exact) evaluation order
+    d2 = pairwise_d2(mix, config)
+    assume(not np.any(np.abs(d2 - merge_threshold) <= 1e-9 * merge_threshold))
+    assert_bit_identical(prune_merge_cap(mix, config), reference_prune_merge_cap(mix, config))
+
+
+def test_merge_across_distance_blocks():
+    block = phd_gm.MERGE_BLOCK
+    count = 3 * block + 10
+    rank_weight = 1.0 - 0.004 * np.arange(count)
+    # far apart on the x axis, unit covariances: every component its own
+    # cluster unless placed next to another
+    means = np.zeros((count, 6))
+    means[:, 0] = 100.0 * np.arange(count)
+    # a cluster seeded at rank 0 with members ranked in the second and
+    # third blocks, so it straddles the blocks and its members' own blocks
+    # skip them
+    means[[block + 5, 2 * block + 7], 0] = [1.0, -1.0]
+    # the last seed of the first block takes the first of the second
+    means[block, 0] = means[block - 1, 0] + 1.5
+    # a cluster inside the second block, seeded after skipped components
+    means[block + 9, 0] = means[block + 8, 0] + 0.5
+    order = np.random.default_rng(7).permutation(count)
+    mix = GaussianMixture(rank_weight[order], means[order],
+                          np.broadcast_to(np.eye(6), (count, 6, 6)).copy())
+    uncapped = GmPhdConfig(max_components=count)
+    assert len(reference_prune_merge_cap(mix, uncapped)) == count - 4
+    assert_bit_identical(prune_merge_cap(mix, uncapped), reference_prune_merge_cap(mix, uncapped))
+    capped = GmPhdConfig(max_components=block + 20)
+    managed = prune_merge_cap(mix, capped)
+    assert len(managed) == block + 20
+    assert_bit_identical(managed, reference_prune_merge_cap(mix, capped))
+
+
+@pytest.mark.parametrize("singular, far", [(0, 50.0), (1, 50.0), (1, 0.5)],
+                         ids=["seed", "other-seed", "absorbed"])
+def test_merge_raises_on_a_singular_covariance(singular, far):
+    covs = np.broadcast_to(np.eye(6), (2, 6, 6)).copy()
+    covs[singular] = np.diag([1.0, 1.0, 1.0, 1.0, 1.0, 0.0])
+    mix = GaussianMixture(np.array([0.9, 0.4]), np.array([[0.0] * 6, [far] * 6]), covs)
+    with pytest.raises(np.linalg.LinAlgError):
+        prune_merge_cap(mix, GmPhdConfig())
 
 
 def test_cap_keeps_heaviest_and_rescales():

@@ -212,10 +212,12 @@ def test_run_filter_reports_a_bad_computed_covariance(monkeypatch, kind, corrupt
     assert type(info.value.__cause__) is ValueError
     assert "PSD" in str(info.value)
 
-# Per-step outputs of the reference scenario (seed 0, first 20 steps),
-# recorded before covariances were checked once where computed.  The
-# change was meant to leave them bit-identical; a change that moves them
-# on purpose updates these values and says why.
+# Per-step outputs of the reference scenario (seed 0, first 20 steps):
+# n_hat, OSPA and component count.  n_hat and OSPA were recorded before
+# covariances were checked once where computed, the component counts
+# (which pin gm's merge partition) before the merge distances were batched.
+# Both changes were meant to leave them bit-identical; a change that moves
+# them on purpose updates these values and says why.
 GOLDEN = {
     "gm": (
         [0, 0, 1, 2, 2, 1, 2, 2, 2, 2, 2, 2, 2, 2, 2, 1, 2, 2, 2, 2],
@@ -224,6 +226,8 @@ GOLDEN = {
          1.7259026994196072, 1.4754444845794275, 1.039664789577761, 0.8186727260216562,
          1.1153081662295887, 0.6397589387272872, 70.71337395697162, 0.5018489234717086,
          0.6498222627674008, 1.1063984850020483, 1.39251438483907],
+        [98, 133, 163, 145, 87, 102, 134, 148, 155, 139, 140, 121, 145, 93, 84, 73, 83, 77,
+         105, 125],
     ),
     "engm": (
         [0, 1, 2, 2, 2, 1, 2, 2, 2, 2, 2, 2, 2, 2, 2, 1, 2, 2, 2, 2],
@@ -232,6 +236,7 @@ GOLDEN = {
          2.037327678202128, 1.7362171174593901, 1.0103021156834648, 1.144040181537501,
          1.5384935446347243, 0.9240213331394316, 70.71798453750148, 1.2277417182203103,
          1.2201642591568556, 1.7340258172116678, 1.8898108199241876],
+        [250] * 20,
     ),
 }
 
@@ -239,6 +244,7 @@ GOLDEN = {
 @pytest.mark.parametrize("kind", sorted(GOLDEN))
 def test_seeded_outputs_match_recorded_values(kind):
     records = run_filter(ScenarioConfig(t_end=20.0, seed=0, filter_kind=kind, runs=1))
-    n_hat, ospa_total = GOLDEN[kind]
+    n_hat, ospa_total, n_components = GOLDEN[kind]
     assert [r.n_hat for r in records] == n_hat
+    assert [r.n_components for r in records] == n_components
     assert [r.ospa_total for r in records] == pytest.approx(ospa_total, rel=0.0, abs=1e-12)
