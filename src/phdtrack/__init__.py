@@ -10,11 +10,9 @@ CLI sit on top.
 """
 
 from .gaussmix import (
-    GaussianComponent,
     GaussianMixture,
     eval_gaussian,
     kde_from_particles,
-    mixture_mass,
     sample_mixture,
     silverman_bandwidth,
 )

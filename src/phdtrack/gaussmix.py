@@ -4,7 +4,9 @@ A multi-target intensity is carried either as a weighted Gaussian mixture
 or as a weighted particle cloud.  This module owns the mixture side:
 construction (including kernel density estimates over particle clouds with
 a Silverman bandwidth), mass accounting, density evaluation, and drawing
-samples, optionally with the component each draw came from.
+samples, optionally with the component each draw came from.  A mixture is
+one array-backed GaussianMixture; component i is weights[i], means[i] and
+covs[i], and there is no separate per-component type.
 
 Total mixture mass is the expected target count, so weights are free to
 sum to any nonnegative value; nothing here normalizes unless a routine
@@ -76,29 +78,6 @@ def floor_covariances(covs: np.ndarray) -> np.ndarray:
         covs = covs.copy()
         covs[mask] += eps[mask, None, None] * np.eye(n)
     return covs
-
-
-@dataclass(frozen=True)
-class GaussianComponent:
-    """One weighted Gaussian: nonnegative weight, mean (n,), covariance (n, n)."""
-
-    weight: float
-    mean: np.ndarray
-    cov: np.ndarray
-
-    def __post_init__(self):
-        mean = np.asarray(self.mean, dtype=float)
-        cov = np.asarray(self.cov, dtype=float)
-        object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "cov", cov)
-        if not np.isfinite(self.weight) or self.weight < 0:
-            raise ValueError(f"component weight must be finite and >= 0, got {self.weight}")
-        if mean.ndim != 1:
-            raise ValueError(f"mean must be a vector, got shape {mean.shape}")
-        n = mean.shape[0]
-        if cov.shape != (n, n):
-            raise ValueError(f"cov shape {cov.shape} does not match mean dimension {n}")
-        check_covariances(cov)
 
 
 @dataclass(frozen=True)
@@ -183,33 +162,9 @@ class GaussianMixture:
     def mass(self) -> float:
         return float(np.sum(self.weights))
 
-    def component(self, i: int) -> GaussianComponent:
-        return GaussianComponent(float(self.weights[i]), self.means[i], self.covs[i])
-
-    @property
-    def components(self) -> list[GaussianComponent]:
-        return [self.component(i) for i in range(len(self))]
-
-    @classmethod
-    def from_components(cls, components) -> "GaussianMixture":
-        components = list(components)
-        if not components:
-            raise ValueError("cannot infer dimension from an empty component list; use empty(dim)")
-        n = components[0].mean.shape[0]
-        return cls(
-            np.array([c.weight for c in components], dtype=float),
-            np.array([c.mean for c in components], dtype=float),
-            np.array([c.cov for c in components], dtype=float).reshape(len(components), n, n),
-        )
-
     @classmethod
     def empty(cls, dim: int) -> "GaussianMixture":
         return cls(np.zeros(0), np.zeros((0, dim)), np.zeros((0, dim, dim)))
-
-
-def mixture_mass(mixture: GaussianMixture) -> float:
-    """Total mass (sum of weights); zero for the empty mixture."""
-    return mixture.mass
 
 
 def silverman_bandwidth(dim: int, count: int) -> float:

@@ -1,9 +1,12 @@
 """Motion, measurement, birth, spawn, and clutter models.
 
 State vectors are [rx, ry, rz, vx, vy, vz]: position and velocity in a
-Cartesian frame with a sensor at the origin.  Motion is constant-velocity;
-the measurement is a radar return (range, azimuth, elevation) with
-additive Gaussian noise.  Angles are radians everywhere in code; degrees
+Cartesian frame with a sensor at the origin.  Motion is constant-velocity
+and linear, so every recursion advances states by the closed-form
+transition matrix F(dt): the Gaussian-mixture filter moves its means with
+it and the particle filters move their particles with it.  The
+measurement is a radar return (range, azimuth, elevation) with additive
+Gaussian noise.  Angles are radians everywhere in code; degrees
 appear only at the configuration boundary.
 """
 
@@ -16,94 +19,21 @@ import numpy as np
 STATE_DIM = 6
 TWO_PI = 2.0 * np.pi
 
-# 8th-order Dormand-Prince propagation tableau (12 stages).  Fixed step,
-# no embedded error estimate: the step size is the filter period.
-_DP8_C = np.array([
-    0.0, 0.05260015195876773, 0.0789002279381516, 0.1183503419072274,
-    0.2816496580927726, 0.3333333333333333, 0.25, 0.3076923076923077,
-    0.6512820512820513, 0.6, 0.8571428571428571, 1.0,
-])
-_DP8_B = np.array([
-    0.054293734116568765, 0.0, 0.0, 0.0, 0.0, 4.450312892752409,
-    1.8915178993145003, -5.801203960010585, 0.3111643669578199,
-    -0.1521609496625161, 0.20136540080403034, 0.04471061572777259,
-])
-_DP8_A = np.zeros((12, 12))
-_DP8_A[1, 0] = 0.05260015195876773
-_DP8_A[2, :2] = [0.0197250569845379, 0.0591751709536137]
-_DP8_A[3, 0] = 0.02958758547680685
-_DP8_A[3, 2] = 0.08876275643042054
-_DP8_A[4, 0] = 0.2413651341592667
-_DP8_A[4, 2:4] = [-0.8845494793282861, 0.924834003261792]
-_DP8_A[5, 0] = 0.037037037037037035
-_DP8_A[5, 3:5] = [0.17082860872947386, 0.12546768756682242]
-_DP8_A[6, 0] = 0.037109375
-_DP8_A[6, 3:6] = [0.17025221101954405, 0.06021653898045596, -0.017578125]
-_DP8_A[7, 0] = 0.03709200011850479
-_DP8_A[7, 3:7] = [0.17038392571223998, 0.10726203044637328,
-                  -0.015319437748624402, 0.008273789163814023]
-_DP8_A[8, 0] = 0.6241109587160757
-_DP8_A[8, 3:8] = [-3.3608926294469414, -0.868219346841726, 27.59209969944671,
-                  20.154067550477894, -43.48988418106996]
-_DP8_A[9, 0] = 0.47766253643826434
-_DP8_A[9, 3:9] = [-2.4881146199716677, -0.590290826836843, 21.230051448181193,
-                  15.279233632882423, -33.28821096898486, -0.020331201708508627]
-_DP8_A[10, 0] = -0.9371424300859873
-_DP8_A[10, 3:10] = [5.186372428844064, 1.0914373489967295, -8.149787010746927,
-                    -18.52006565999696, 22.739487099350505, 2.4936055526796523,
-                    -3.0467644718982196]
-_DP8_A[11, 0] = 2.273310147516538
-_DP8_A[11, 3:11] = [-10.53449546673725, -2.0008720582248625, -17.9589318631188,
-                    27.94888452941996, -2.8589982771350235, -8.87285693353063,
-                    12.360567175794303, 0.6433927460157636]
-
-
-def rk8_step(deriv, x: np.ndarray, dt: float) -> np.ndarray:
-    """One fixed step of the 8th-order Dormand-Prince map.
-
-    deriv(x) must accept and return arrays of the same shape as x and may
-    be vectorized over leading axes.
-    """
-    x = np.asarray(x, dtype=float)
-    stages = []
-    for i in range(12):
-        xi = x
-        for j in range(i):
-            a = _DP8_A[i, j]
-            if a != 0.0:
-                xi = xi + dt * a * stages[j]
-        stages.append(np.asarray(deriv(xi), dtype=float))
-    out = x
-    for i in range(12):
-        b = _DP8_B[i]
-        if b != 0.0:
-            out = out + dt * b * stages[i]
-    return out
-
-
-def cv_derivative(x: np.ndarray) -> np.ndarray:
-    """Constant-velocity dynamics: d(position)/dt = velocity, velocity fixed."""
-    x = np.asarray(x, dtype=float)
-    out = np.zeros_like(x)
-    out[..., :3] = x[..., 3:]
-    return out
-
-
-def propagate_state(x: np.ndarray, dt: float) -> np.ndarray:
-    """Advance constant-velocity states by dt via the integrator path.
-
-    Accepts a single state (6,) or a batch (J, 6).  Matches the closed
-    form position + velocity*dt to roundoff because the dynamics are
-    linear.
-    """
-    return rk8_step(cv_derivative, x, dt)
-
 
 def transition_matrix(dt: float) -> np.ndarray:
     """Closed-form constant-velocity transition matrix F(dt)."""
     f = np.eye(STATE_DIM)
     f[0, 3] = f[1, 4] = f[2, 5] = dt
     return f
+
+
+def propagate_state(x: np.ndarray, dt: float) -> np.ndarray:
+    """Advance constant-velocity states by dt: x @ F(dt)', position += velocity * dt.
+
+    Accepts a single state (6,) or a batch (J, 6).  It is the same map
+    F(dt) that the Gaussian-mixture prediction applies to each mean.
+    """
+    return np.asarray(x, dtype=float) @ transition_matrix(dt).T
 
 
 def dwna_process_noise(dt: float, sigma_accel: float) -> np.ndarray:
@@ -315,10 +245,6 @@ class SpawnModel:
 
     components: tuple = ()
 
-    @property
-    def total_weight(self) -> float:
-        return float(sum(c.weight for c in self.components))
-
 
 @dataclass(frozen=True)
 class ClutterModel:
@@ -433,22 +359,3 @@ def sample_birth_states(model: BirthModel, rng: np.random.Generator) -> np.ndarr
     return rng.multivariate_normal(model.mean, model.cov, size=model.count_per_step,
                                    method="eigh")
 
-
-def sample_births(model: BirthModel, rng: np.random.Generator, kind: str = "particles"):
-    """New-target material for one step, as particles or Gaussian components.
-
-    Either way the means are sampled from the birth Gaussian and every
-    element carries weight_each, so the injected mass is mass_per_step.
-    Components keep the full birth covariance around each sampled mean.
-    """
-    from .gaussmix import GaussianMixture
-    from .phd_smc import ParticleSet
-
-    states = sample_birth_states(model, rng)
-    weights = np.full(states.shape[0], model.weight_each)
-    if kind == "particles":
-        return ParticleSet(states, weights)
-    if kind == "gaussian-components":
-        covs = np.broadcast_to(model.cov, (states.shape[0], STATE_DIM, STATE_DIM)).copy()
-        return GaussianMixture(weights, states, covs)
-    raise ValueError(f"unknown birth kind: {kind!r}")

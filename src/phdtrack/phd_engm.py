@@ -7,8 +7,9 @@ each part in its own kernel density estimate, beta * SampleCov(part): the
 kernel follows the shape of one target's cloud, not the distance between
 targets, and not the expected target count it carries, exactly as in the
 single-target ensemble filter.  The birth intensity is added as the same
-Gaussian components the plain Gaussian-mixture filter uses.  The update is
-the bank-of-EKFs corrector that filter uses, clutter intensity kappa(z)
+Gaussian components the plain Gaussian-mixture filter uses
+(birth_components).  The update is that filter's bank-of-EKFs corrector,
+gm_update, imported here as engm_update, clutter intensity kappa(z)
 included; each measurement's corrected block becomes a new part, and the
 missed-detection copies stay in their parts.  Sampling from the corrected
 mixture then restores the uniform cloud, so mixture growth never
@@ -33,7 +34,8 @@ from .gaussmix import (
     sample_mixture_indexed,
     silverman_bandwidth,
 )
-from .phd_gm import _ekf_phd_update
+# engm_update is the one corrector under this filter's stage name
+from .phd_gm import birth_components, gm_update as engm_update  # noqa: F401
 from .phd_smc import ParticleSet
 
 UNIFORMITY_TOL = 1e-12
@@ -70,12 +72,11 @@ def engm_predict(state: EngmPhdState, models: "_models.Models",
 
     Survivors are propagated with process noise and wrapped in a KDE of
     mass p_survive * N in which every part has its own kernel (see
-    kde_from_particles).  The birth components, as gm_predict draws them
-    (sampled means, the full birth covariance, weight_each apiece), follow
-    as one new part.  With no birth material the survivor KDE is returned
-    alone; with zero survivor mass, the birth components are.  Both pieces
-    had their covariances checked where they were computed, so joining
-    them checks nothing new.
+    kde_from_particles).  The birth components, drawn by birth_components
+    as gm_predict draws them, follow as one new part.  With no birth
+    material the survivor KDE is returned alone; with zero survivor mass,
+    the birth components are.  Both pieces had their covariances checked
+    where they were computed, so joining them checks nothing new.
     """
     motion = models.motion
     cloud = state.particles
@@ -84,7 +85,7 @@ def engm_predict(state: EngmPhdState, models: "_models.Models",
     surviving_mass = models.detection.p_survive * cloud.mass
     if models.birth.count_per_step == 0 or models.birth.mass_per_step <= 0.0:
         return kde_from_particles(survivors, surviving_mass, state.parts)
-    births = _models.sample_births(models.birth, rng, kind="gaussian-components")
+    births = birth_components(models.birth, rng)
     birth_parts = np.full(len(births), int(state.parts.max(initial=-1)) + 1)
     if surviving_mass <= 0.0:
         return GaussianMixture._assemble(births.weights, births.means, births.covs, birth_parts)
@@ -95,15 +96,6 @@ def engm_predict(state: EngmPhdState, models: "_models.Models",
         np.concatenate([kde.covs, births.covs]),
         np.concatenate([kde.parts, birth_parts]),
     )
-
-
-def engm_update(prior: GaussianMixture, scan: "_models.MeasurementScan",
-                models: "_models.Models") -> GaussianMixture:
-    """Bank-of-EKFs correction of the KDE prior; see gm_update for the layout.
-
-    Each measurement's block is a new part (see phd_gm._ekf_phd_update).
-    """
-    return _ekf_phd_update(prior, scan, models)
 
 
 def engm_resample(posterior: GaussianMixture, count: int,

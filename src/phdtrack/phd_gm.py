@@ -1,11 +1,13 @@
 """Gaussian-mixture form of the intensity recursion.
 
-Prediction pushes every component through the constant-velocity map and
-appends spawn and birth components; the update runs a bank of extended
-Kalman corrections, one missed-detection copy plus one corrected copy per
-measurement.  Mixture growth is contained by prune / merge / cap, which
-preserves total mass by rescaling.  Each stage checks the covariances it
-computes and nothing else (see gaussmix).
+Prediction pushes every component through the constant-velocity map
+F(dt) and appends spawn and birth components (birth_components, which
+the ensemble filter shares); the update, gm_update, runs a bank of
+extended Kalman corrections, one missed-detection copy plus one corrected
+copy per measurement, and is the corrector of the ensemble filter too.
+Mixture growth is contained by prune / merge / cap, which preserves total
+mass by rescaling.  Each stage checks the covariances it computes and
+nothing else (see gaussmix).
 """
 
 from __future__ import annotations
@@ -48,8 +50,7 @@ def gm_predict(posterior: GaussianMixture, models: "_models.Models",
 
     Survivors keep their means under the transition matrix with covariance
     F P F' + Q and weight scaled by p_survive.  Every spawn kernel term is
-    applied to every parent.  Birth components have sampled means, the
-    birth covariance, and weight_each apiece.
+    applied to every parent.  The births are birth_components.
     """
     f = models.motion.transition
     q = models.motion.process_noise
@@ -63,7 +64,7 @@ def gm_predict(posterior: GaussianMixture, models: "_models.Models",
         means.append(posterior.means + np.asarray(term.offset, dtype=float))
         covs.append(posterior.covs + np.asarray(term.cov, dtype=float))
     check_covariances(np.concatenate(covs))
-    births = _models.sample_births(models.birth, rng, kind="gaussian-components")
+    births = birth_components(models.birth, rng)
     weights.append(births.weights)
     means.append(births.means)
     covs.append(births.covs)
@@ -71,13 +72,31 @@ def gm_predict(posterior: GaussianMixture, models: "_models.Models",
                                      np.concatenate(covs))
 
 
-def _ekf_phd_update(prior: GaussianMixture, scan: "_models.MeasurementScan",
-                    models: "_models.Models") -> GaussianMixture:
-    """Shared corrector: missed-detection block then one block per measurement.
+def birth_components(birth: "_models.BirthModel", rng: np.random.Generator) -> GaussianMixture:
+    """One step's birth intensity as Gaussian components, one per sampled mean.
 
-    The missed-detection copies keep their parts, and each measurement's
+    The means are the draws of sample_birth_states, each component keeps
+    the full birth covariance and carries weight_each, so the mass is
+    mass_per_step.  The public constructor checks the birth covariance.
+    """
+    means = _models.sample_birth_states(birth, rng)
+    count = means.shape[0]
+    return GaussianMixture(np.full(count, birth.weight_each), means,
+                           np.broadcast_to(birth.cov, (count,) + birth.cov.shape).copy())
+
+
+def gm_update(prior: GaussianMixture, scan: "_models.MeasurementScan",
+              models: "_models.Models") -> GaussianMixture:
+    """Corrected mixture with (1 + M) * J components for M measurements.
+
+    The first J components are the missed-detection copies with weight
+    (1 - p_detect) * w; they keep their parts.  Each measurement then
+    contributes J extended Kalman corrections whose weights share one unit
+    of evidence, normalized by the clutter intensity at that measurement,
+    kappa(z), plus the total detection likelihood.  Each measurement's
     block is a new part, labelled after the prior's largest label in scan
-    order.
+    order.  This is the one corrector: the ensemble filter applies it to
+    its KDE prior as engm_update.
     """
     p_d = models.detection.p_detect
     meas = models.measurement
@@ -125,26 +144,8 @@ def _ekf_phd_update(prior: GaussianMixture, scan: "_models.MeasurementScan",
             out_w.append(numer / denom if denom > 0 else np.zeros_like(numer))
             out_m.append(m + np.einsum("aij,aj->ai", k_gain, innov))
             out_p.append(p_post)
-    else:
-        for _ in range(len(scan)):
-            out_w.append(np.zeros(0))
-            out_m.append(np.zeros((0, prior.dim)))
-            out_p.append(np.zeros((0, prior.dim, prior.dim)))
     return GaussianMixture._assemble(np.concatenate(out_w), np.concatenate(out_m),
                                      np.concatenate(out_p), out_parts)
-
-
-def gm_update(prior: GaussianMixture, scan: "_models.MeasurementScan",
-              models: "_models.Models") -> GaussianMixture:
-    """Corrected mixture with (1 + M) * J components for M measurements.
-
-    The first J components are the missed-detection copies with weight
-    (1 - p_detect) * w.  Each measurement then contributes J extended
-    Kalman corrections whose weights share one unit of evidence,
-    normalized by the clutter intensity at that measurement, kappa(z),
-    plus the total detection likelihood.
-    """
-    return _ekf_phd_update(prior, scan, models)
 
 
 def prune_merge_cap(mixture: GaussianMixture, config: GmPhdConfig) -> GaussianMixture:

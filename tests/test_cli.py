@@ -3,6 +3,7 @@
 import csv
 import json
 import os
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -39,6 +40,137 @@ def test_emit_parse_round_trip_is_identity():
     parsed = parse_config_text(text)
     assert emit_config_text(parsed) == text
     assert parsed == FileConfig()
+
+
+DEFAULT_CONFIG_TEXT = (
+    "[scenario]\n"
+    "filter = engm\n"
+    "runs = 25\n"
+    "seed = 0\n"
+    "t_start = 0.0\n"
+    "t_end = 100.0\n"
+    "dt = 1.0\n"
+    "budget = 250\n"
+    "init_weight = 1e-16\n"
+    "resample = multinomial\n"
+    "\n"
+    "[targets]\n"
+    "target_1 = 50.0, 50.0, 50.0, 0.5, 0.5, 2.0\n"
+    "target_2 = 100.0, 100.0, 50.0, -0.5, -0.5, 2.0\n"
+    "\n"
+    "[motion]\n"
+    "sigma_accel = 0.05\n"
+    "\n"
+    "[measurement]\n"
+    "sigma_range = 1.0\n"
+    "sigma_azimuth_deg = 0.5\n"
+    "sigma_elevation_deg = 0.5\n"
+    "\n"
+    "[birth]\n"
+    "mean = 75.0, 75.0, 150.0, 0.0, 0.0, 0.0\n"
+    "sigma = 50.0, 50.0, 50.0, 5.0, 5.0, 5.0\n"
+    "count = 10\n"
+    "weight = 0.01\n"
+    "\n"
+    "[clutter]\n"
+    "rate = 10.0\n"
+    "x_min = 0.0\n"
+    "x_max = 200.0\n"
+    "y_min = 0.0\n"
+    "y_max = 200.0\n"
+    "z_min = 0.0\n"
+    "z_max = 400.0\n"
+    "density = 6.25e-08\n"
+    "kappa_override = \n"
+    "\n"
+    "[detection]\n"
+    "p_detect = 0.98\n"
+    "p_survive = 0.99\n"
+    "\n"
+    "[gm]\n"
+    "prune_threshold = 1e-05\n"
+    "merge_threshold = 4.0\n"
+    "max_components = 250\n"
+    "extraction = top-n\n"
+    "extraction_threshold = 0.5\n"
+    "\n"
+    "[ospa]\n"
+    "cutoff = 100.0\n"
+    "order = 2.0\n"
+)
+
+
+def test_default_config_text_is_pinned(tmp_path):
+    assert emit_config_text(FileConfig()) == DEFAULT_CONFIG_TEXT
+    path = tmp_path / "scenario.ini"
+    assert main(["emit-config", str(path)]) == 0
+    assert path.read_bytes() == DEFAULT_CONFIG_TEXT.encode("ascii")
+
+
+# (section, file key, text, FileConfig field, parsed value), one per field
+ONE_KEY_CASES = [
+    ("scenario", "filter", "gm", "filter", "gm"),
+    ("scenario", "runs", "7", "runs", 7),
+    ("scenario", "seed", "123", "seed", 123),
+    ("scenario", "t_start", "1.5", "t_start", 1.5),
+    ("scenario", "t_end", "50", "t_end", 50.0),
+    ("scenario", "dt", "0.5", "dt", 0.5),
+    ("scenario", "budget", "100", "budget", 100),
+    ("scenario", "init_weight", "1e-10", "init_weight", 1e-10),
+    ("scenario", "resample", "systematic", "resample", "systematic"),
+    ("targets", "target_1", "1, 2, 3, 0.1, 0.2, 0.3", "targets",
+     [[1.0, 2.0, 3.0, 0.1, 0.2, 0.3]]),
+    ("motion", "sigma_accel", "0.1", "sigma_accel", 0.1),
+    ("measurement", "sigma_range", "2.0", "sigma_range", 2.0),
+    ("measurement", "sigma_azimuth_deg", "1.0", "sigma_azimuth_deg", 1.0),
+    ("measurement", "sigma_elevation_deg", "0.25", "sigma_elevation_deg", 0.25),
+    ("birth", "mean", "1, 2, 3, 4, 5, 6", "birth_mean", [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]),
+    ("birth", "sigma", "1, 1, 1, 2, 2, 2", "birth_sigma", [1.0, 1.0, 1.0, 2.0, 2.0, 2.0]),
+    ("birth", "count", "3", "birth_count", 3),
+    ("birth", "weight", "0.5", "birth_weight", 0.5),
+    ("clutter", "rate", "5.0", "clutter_rate", 5.0),
+    ("clutter", "x_min", "-1.0", "x_min", -1.0),
+    ("clutter", "x_max", "300.0", "x_max", 300.0),
+    ("clutter", "y_min", "-2.0", "y_min", -2.0),
+    ("clutter", "y_max", "250.0", "y_max", 250.0),
+    ("clutter", "z_min", "-3.0", "z_min", -3.0),
+    ("clutter", "z_max", "500.0", "z_max", 500.0),
+    ("clutter", "density", "1e-7", "density", 1e-7),
+    ("clutter", "kappa_override", "2.5e-3", "kappa_override", 2.5e-3),
+    ("detection", "p_detect", "0.9", "p_detect", 0.9),
+    ("detection", "p_survive", "0.95", "p_survive", 0.95),
+    ("gm", "prune_threshold", "1e-4", "prune_threshold", 1e-4),
+    ("gm", "merge_threshold", "9.0", "merge_threshold", 9.0),
+    ("gm", "max_components", "50", "max_components", 50),
+    ("gm", "extraction", "threshold", "extraction", "threshold"),
+    ("gm", "extraction_threshold", "0.7", "extraction_threshold", 0.7),
+    ("ospa", "cutoff", "50.0", "ospa_cutoff", 50.0),
+    ("ospa", "order", "1.0", "ospa_order", 1.0),
+]
+
+
+def test_one_key_cases_cover_every_field_once():
+    assert sorted(case[3] for case in ONE_KEY_CASES) == sorted(f.name for f in fields(FileConfig))
+
+
+@pytest.mark.parametrize("section,key,text,attr,value", ONE_KEY_CASES,
+                         ids=[f"{case[0]}.{case[1]}" for case in ONE_KEY_CASES])
+def test_one_key_sets_its_field_and_no_other(section, key, text, attr, value):
+    parsed = parse_config_text(f"[{section}]\n{key} = {text}\n")
+    assert getattr(FileConfig(), attr) != value
+    assert parsed == replace(FileConfig(), **{attr: value})
+    assert type(getattr(parsed, attr)) is type(value)
+
+
+def test_parse_rejects_keys_outside_their_section():
+    with pytest.raises(ConfigError, match="unknown key motion.runs"):
+        parse_config_text("[motion]\nruns = 3\n")
+    with pytest.raises(ConfigError, match="unknown key birth.birth_mean"):
+        parse_config_text("[birth]\nbirth_mean = 1, 2, 3, 4, 5, 6\n")
+    with pytest.raises(ConfigError, match="clutter.kappa_override"):
+        parse_config_text("[clutter]\nkappa_override = often\n")
+    with pytest.raises(ConfigError, match="scenario.runs"):
+        parse_config_text("[scenario]\nruns = 2.5\n")
 
 
 def test_round_trip_preserves_overrides():

@@ -4,14 +4,12 @@ import numpy as np
 import pytest
 
 from phdtrack.gaussmix import (
-    GaussianComponent,
     GaussianMixture,
     cumulative_select,
     eval_gaussian,
     floor_covariance,
     floor_covariances,
     kde_from_particles,
-    mixture_mass,
     sample_mixture,
     sample_mixture_indexed,
     silverman_bandwidth,
@@ -79,14 +77,18 @@ def test_floor_covariances_batched_matches_scalar():
 
 
 def test_component_validation():
-    with pytest.raises(ValueError):
-        GaussianComponent(-0.1, np.zeros(2), np.eye(2))
-    with pytest.raises(ValueError):
-        GaussianComponent(1.0, np.zeros(2), np.eye(3))
-    with pytest.raises(ValueError):
-        GaussianComponent(1.0, np.zeros(2), np.array([[1.0, 0.5], [0.4, 1.0]]))
-    with pytest.raises(ValueError):
-        GaussianComponent(1.0, np.zeros(2), np.array([[1.0, 2.0], [2.0, 1.0]]))
+    def one(weight, cov):
+        cov = np.asarray(cov, dtype=float)
+        return GaussianMixture(np.array([weight]), np.zeros((1, 2)), cov[None])
+
+    with pytest.raises(ValueError, match="weights"):
+        one(-0.1, np.eye(2))
+    with pytest.raises(ValueError, match="inconsistent"):
+        one(1.0, np.eye(3))
+    with pytest.raises(ValueError, match="symmetric"):
+        one(1.0, [[1.0, 0.5], [0.4, 1.0]])
+    with pytest.raises(ValueError, match="PSD"):
+        one(1.0, [[1.0, 2.0], [2.0, 1.0]])
 
 
 def test_mixture_shapes_and_mass():
@@ -95,12 +97,7 @@ def test_mixture_shapes_and_mass():
     assert len(mix) == 2
     assert mix.dim == 3
     assert mix.mass == pytest.approx(0.75, abs=1e-15)
-    assert mixture_mass(mix) == mix.mass
-    comp = mix.component(1)
-    assert comp.weight == 0.5
-    rebuilt = GaussianMixture.from_components(mix.components)
-    assert rebuilt.weights == pytest.approx(mix.weights)
-    assert rebuilt.means == pytest.approx(mix.means)
+    assert mix.weights[1] == 0.5
 
 
 def test_empty_mixture():

@@ -12,11 +12,8 @@ from phdtrack.models import (
     Models,
     MotionModel,
     RadarMeasurementModel,
-    cv_derivative,
     dwna_process_noise,
     propagate_state,
-    rk8_step,
-    sample_births,
     sample_birth_states,
     sample_clutter,
     sample_psd_noise,
@@ -26,7 +23,7 @@ from phdtrack.models import (
 
 
 # ---------------------------------------------------------------------------
-# integrator and motion
+# motion
 
 
 def test_propagate_matches_closed_form():
@@ -44,35 +41,6 @@ def test_propagate_batched():
     expected = xs.copy()
     expected[:, :3] += xs[:, 3:]
     assert out == pytest.approx(expected, abs=1e-9)
-
-
-def test_rk8_exponential_decay():
-    # dx/dt = -x has solution e^(-dt); a single high-order step should be
-    # accurate to discretization error (dt^9) which is ~1e-9 at dt = 0.5
-    out = rk8_step(lambda x: -x, np.array([1.0]), 0.5)
-    assert out[0] == pytest.approx(np.exp(-0.5), abs=1e-10)
-
-
-def test_rk8_order_of_convergence():
-    # halving the step of an 8th-order method should shrink the local error
-    # by roughly 2^9; accept anything far beyond 2nd order
-    def deriv(x):
-        return np.array([x[1], -x[0]])  # harmonic oscillator
-
-    x0 = np.array([1.0, 0.0])
-
-    def err(dt):
-        out = rk8_step(deriv, x0, dt)
-        return abs(out[0] - np.cos(dt)) + abs(out[1] + np.sin(dt))
-
-    e1, e2 = err(1.0), err(0.5)
-    assert e2 < e1 / 2 ** 6
-
-
-def test_cv_derivative_layout():
-    x = np.array([1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
-    d = cv_derivative(x)
-    assert d == pytest.approx([4.0, 5.0, 6.0, 0.0, 0.0, 0.0])
 
 
 def test_transition_matrix_agrees_with_integrator():
@@ -219,21 +187,6 @@ def test_sample_birth_states_moments():
     assert std == pytest.approx(np.sqrt(np.diag(birth.cov)), rel=0.05)
 
 
-def test_sample_births_both_kinds():
-    birth = BirthModel()
-    particles = sample_births(birth, np.random.default_rng(1), kind="particles")
-    assert len(particles) == 10
-    assert particles.mass == pytest.approx(0.1, rel=1e-12)
-    mixture = sample_births(birth, np.random.default_rng(1), kind="gaussian-components")
-    assert len(mixture) == 10
-    assert mixture.mass == pytest.approx(0.1, rel=1e-12)
-    assert mixture.covs[3] == pytest.approx(birth.cov)
-    # same rng seed, same sampled means
-    assert mixture.means == pytest.approx(particles.states)
-    with pytest.raises(ValueError):
-        sample_births(birth, np.random.default_rng(1), kind="bogus")
-
-
 def test_clutter_model_kappa():
     clutter = ClutterModel()
     assert clutter.rate == 10.0
@@ -360,5 +313,5 @@ def test_models_bundle_defaults():
     assert isinstance(models.measurement, RadarMeasurementModel)
     assert models.birth.mass_per_step == pytest.approx(0.1)
     assert models.clutter.kappa == pytest.approx(6.25e-7)
-    assert models.spawn.total_weight == 0.0
+    assert models.spawn.components == ()
     assert models.motion.dt == 1.0

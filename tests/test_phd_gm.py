@@ -18,9 +18,17 @@ from phdtrack.models import (
     SpawnComponent,
     SpawnModel,
     dwna_process_noise,
+    sample_birth_states,
 )
 from phdtrack import phd_gm
-from phdtrack.phd_gm import GmPhdConfig, gm_extract, gm_predict, gm_update, prune_merge_cap
+from phdtrack.phd_gm import (
+    GmPhdConfig,
+    birth_components,
+    gm_extract,
+    gm_predict,
+    gm_update,
+    prune_merge_cap,
+)
 
 
 def single_target_models():
@@ -114,6 +122,25 @@ def test_predict_with_spawn_terms():
     assert predicted.weights[1] == pytest.approx(0.1, rel=1e-12)
 
 
+def test_birth_components_match_birth_states():
+    birth = BirthModel()
+    mixture = birth_components(birth, np.random.default_rng(1))
+    assert len(mixture) == 10
+    assert mixture.mass == pytest.approx(0.1, rel=1e-12)
+    assert np.array_equal(mixture.weights, np.full(10, 0.01))
+    assert np.array_equal(mixture.covs, np.broadcast_to(birth.cov, (10, 6, 6)))
+    # same rng seed, same sampled means
+    assert np.array_equal(mixture.means, sample_birth_states(birth, np.random.default_rng(1)))
+    assert len(birth_components(BirthModel(count_per_step=0), np.random.default_rng(1))) == 0
+
+
+@pytest.mark.filterwarnings("ignore:covariance is not symmetric positive-semidefinite")
+def test_birth_components_check_the_birth_covariance():
+    cov = np.diag([2500.0, 2500.0, 2500.0, 25.0, 25.0, -25.0])
+    with pytest.raises(ValueError, match="PSD"):
+        birth_components(BirthModel(cov=cov), np.random.default_rng(1))
+
+
 def test_update_block_structure():
     models = Models()
     prior = GaussianMixture(
@@ -182,6 +209,9 @@ def test_update_empty_scan_keeps_missed_block_only():
     corrected = gm_update(prior, MeasurementScan(np.zeros((0, 3))), models)
     assert len(corrected) == 1
     assert corrected.mass == pytest.approx((1 - 0.98) * 0.8, rel=1e-12)
+    # and an empty prior corrects to an empty mixture, whatever the scan
+    scan = MeasurementScan(models.measurement.measure(prior.means))
+    assert len(gm_update(GaussianMixture.empty(6), scan, models)) == 0
 
 
 def test_update_wraps_azimuth_innovation():
@@ -205,6 +235,58 @@ def test_update_wraps_azimuth_innovation():
     # the corrected mean near the prior instead of flinging it across the map
     assert np.linalg.norm(corrected.means[i, :3] - x[:3]) < 5.0
     assert corrected.weights[i] > 0.5 * corrected.mass
+
+
+def likelihood_sums(prior, z, models):
+    """p_D * sum_i w_i N(z; H m_i, H P_i H' + R) for each row of z, written
+    one component at a time, independently of the corrector."""
+    h = models.measurement.matrix
+    r = models.measurement.noise_cov
+    sums = np.zeros(len(z))
+    for w, m, p in zip(prior.weights, prior.means, prior.covs):
+        s = h @ p @ h.T + r
+        d = z - m @ h.T
+        quad = np.einsum("mi,mi->m", d, np.linalg.solve(s, d.T).T)
+        sums += models.detection.p_detect * w * np.exp(-0.5 * quad) / np.sqrt(
+            np.linalg.det(2.0 * np.pi * s))
+    return sums
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), count=st.integers(1, 40), meas_count=st.integers(0, 8),
+       p_detect=st.sampled_from([0.0, 0.5, 0.9, 0.98, 1.0]),
+       log_kappa=st.floats(-9.0, 0.0))
+def test_update_block_properties(seed, count, meas_count, p_detect, log_kappa):
+    rng = np.random.default_rng(seed)
+    kappa = 10.0 ** log_kappa
+    models = Models(
+        measurement=LinearMeasurementModel(np.hstack([np.eye(3), np.zeros((3, 3))]),
+                                           np.diag(rng.uniform(0.5, 4.0, size=3))),
+        clutter=ClutterModel(kappa_override=kappa),
+        detection=DetectionSurvival(p_detect=p_detect),
+    )
+    factors = rng.normal(size=(count, 6, 6))
+    covs = factors @ np.swapaxes(factors, -1, -2) + np.eye(6)
+    prior = GaussianMixture(10.0 ** rng.uniform(-4.0, 0.0, size=count),
+                            rng.normal(scale=20.0, size=(count, 6)),
+                            0.5 * (covs + np.swapaxes(covs, -1, -2)),
+                            rng.integers(0, 5, size=count))
+    # measurements near some components, the rest anywhere
+    near = prior.means[rng.integers(count, size=meas_count), :3]
+    z = np.where(rng.random((meas_count, 1)) < 0.5, near + rng.normal(size=(meas_count, 3)),
+                 rng.normal(scale=40.0, size=(meas_count, 3)))
+    corrected = gm_update(prior, MeasurementScan(z), models)
+
+    assert len(corrected) == (1 + meas_count) * count
+    assert np.array_equal(corrected.weights[:count], (1.0 - p_detect) * prior.weights)
+    blocks = corrected.weights[count:].reshape(meas_count, count)
+    assert np.all((blocks >= 0.0) & (blocks <= 1.0))
+    sums = likelihood_sums(prior, z, models)
+    assert blocks.sum(axis=1) == pytest.approx(sums / (kappa + sums), rel=1e-9, abs=1e-300)
+    first = prior.parts.max() + 1
+    expected_parts = np.concatenate([prior.parts,
+                                     np.repeat(np.arange(first, first + meas_count), count)])
+    assert np.array_equal(corrected.parts, expected_parts)
 
 
 def test_prune_drops_light_components_but_keeps_mass():

@@ -196,7 +196,7 @@ def _unchecked_corrected_mixture(monkeypatch):
 @pytest.mark.parametrize("kind, corrupt", [
     # gm_predict: the survivor covariances F P F' + Q
     ("gm", _bad_process_noise),
-    # _ekf_phd_update: the posterior covariances of the measurement blocks
+    # gm_update (engm_update too): the posterior covariances of the measurement blocks
     ("gm", _bad_floor("phdtrack.phd_gm.floor_covariances")),
     ("engm", _bad_floor("phdtrack.phd_gm.floor_covariances")),
     # prune_merge_cap: the merged covariances
