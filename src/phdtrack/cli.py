@@ -352,7 +352,10 @@ def build_parser() -> argparse.ArgumentParser:
 def _resolve(args) -> tuple[ScenarioConfig, str, int]:
     config_path = args.config or _env("CONFIG")
     file_cfg = load_file_config(config_path)
-    scenario = file_cfg.to_scenario()
+    try:
+        scenario = file_cfg.to_scenario()
+    except ValueError as exc:  # a model rejected a value, e.g. a birth sigma of the wrong length
+        raise ConfigError(f"invalid model: {exc}") from exc
     filter_kind = getattr(args, "filter", None) or _env("FILTER")
     if filter_kind is not None:
         if filter_kind not in FILTER_KINDS:

@@ -18,6 +18,12 @@ GaussianMixture constructor checks every covariance it is given; the
 recursions check the covariances they compute and build their mixtures
 through GaussianMixture._assemble, which trusts covariances that were
 already checked, so a matrix carried from step to step is not re-checked.
+
+The covariance floor (floor_covariances) keeps the corrector's posterior
+covariances away from singularity.  Its common case, where no matrix
+needs the floor, costs one batched Cholesky factorization; the
+eigenvalues are computed only when that fails.  The floor does not stand
+in for the check: a matrix it cannot mend still fails check_covariances.
 """
 
 from __future__ import annotations
@@ -66,17 +72,27 @@ def check_covariances(covs: np.ndarray) -> None:
 
 
 def floor_covariances(covs: np.ndarray) -> np.ndarray:
-    """Batched floor_covariance over an array of shape (J, n, n)."""
+    """Batched floor_covariance over an array of shape (J, n, n).
+
+    One batched Cholesky factorization of covs - eps*I shows that every
+    smallest eigenvalue clears its eps, and the input is then returned
+    unchanged (same object, no copy).  Only when that factorization fails
+    are the eigenvalues computed, and just the matrices below their eps
+    are inflated.  The two tests agree except within roundoff of eps,
+    where either answer is exact to working precision.
+    """
     covs = np.asarray(covs, dtype=float)
     if covs.shape[0] == 0:
         return covs
     n = covs.shape[-1]
     eps = FLOOR_SCALE * (1.0 + np.trace(covs, axis1=-2, axis2=-1) / n)
-    min_eig = np.linalg.eigvalsh(covs)[..., 0]
-    mask = min_eig < eps
-    if np.any(mask):
-        covs = covs.copy()
-        covs[mask] += eps[mask, None, None] * np.eye(n)
+    try:
+        np.linalg.cholesky(covs - eps[:, None, None] * np.eye(n))
+    except np.linalg.LinAlgError:
+        mask = np.linalg.eigvalsh(covs)[..., 0] < eps
+        if np.any(mask):
+            covs = covs.copy()
+            covs[mask] += eps[mask, None, None] * np.eye(n)
     return covs
 
 
@@ -210,8 +226,8 @@ def kde_from_particles(states: np.ndarray, mass: float,
     if parts.shape != (j,):
         raise ValueError(f"parts must have one label per particle, got shape {parts.shape}")
     _, inverse, counts = np.unique(parts, return_inverse=True, return_counts=True)
-    centres = np.zeros((counts.size, n))
-    np.add.at(centres, inverse, states)
+    centres = np.stack([np.bincount(inverse, weights=col, minlength=counts.size)
+                        for col in states.T], axis=1)
     resid = states - (centres / counts[:, None])[inverse]
     dof = j - counts.size
     pooled = resid.T @ resid / dof if dof > 0 else np.zeros((n, n))

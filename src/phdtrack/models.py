@@ -16,6 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .gaussmix import check_covariances
+
 STATE_DIM = 6
 TWO_PI = 2.0 * np.pi
 
@@ -211,7 +213,11 @@ class LinearMeasurementModel:
 
 @dataclass(frozen=True)
 class BirthModel:
-    """Poisson birth intensity: count_per_step Gaussian draws, each with weight_each."""
+    """Poisson birth intensity: count_per_step Gaussian draws, each with weight_each.
+
+    The birth covariance is checked (check_covariances) once, here, for
+    every filter that draws from it.
+    """
 
     mean: np.ndarray = field(default_factory=lambda: np.array([75.0, 75.0, 150.0, 0.0, 0.0, 0.0]))
     cov: np.ndarray = field(
@@ -224,6 +230,11 @@ class BirthModel:
         object.__setattr__(self, "cov", np.asarray(self.cov, dtype=float))
         if self.count_per_step < 0 or self.weight_each < 0:
             raise ValueError("birth count and weight must be >= 0")
+        if self.mean.shape != (STATE_DIM,) or self.cov.shape != (STATE_DIM, STATE_DIM):
+            raise ValueError(f"birth mean must be ({STATE_DIM},) and cov ({STATE_DIM}, "
+                             f"{STATE_DIM}), got {self.mean.shape} and {self.cov.shape}")
+        # checked once here, so every filter that draws births gets the same answer
+        check_covariances(self.cov[None])
 
     @property
     def mass_per_step(self) -> float:

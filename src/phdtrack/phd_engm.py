@@ -127,8 +127,8 @@ def engm_extract(posterior: GaussianMixture) -> tuple[int, np.ndarray]:
         return max(n_hat, 0), np.zeros((0, posterior.dim))
     labels, inverse = np.unique(posterior.parts, return_inverse=True)
     part_mass = np.bincount(inverse, weights=posterior.weights, minlength=labels.size)
-    part_sum = np.zeros((labels.size, posterior.dim))
-    np.add.at(part_sum, inverse, posterior.weights[:, None] * posterior.means)
+    part_sum = np.stack([np.bincount(inverse, weights=col, minlength=labels.size)
+                         for col in (posterior.weights[:, None] * posterior.means).T], axis=1)
     heaviest = np.argsort(-part_mass, kind="stable")[:n_hat]
     heaviest = heaviest[part_mass[heaviest] > 0.0]
     return n_hat, part_sum[heaviest] / part_mass[heaviest, None]

@@ -77,12 +77,13 @@ def birth_components(birth: "_models.BirthModel", rng: np.random.Generator) -> G
 
     The means are the draws of sample_birth_states, each component keeps
     the full birth covariance and carries weight_each, so the mass is
-    mass_per_step.  The public constructor checks the birth covariance.
+    mass_per_step.  BirthModel checked the birth covariance when it was
+    built.
     """
     means = _models.sample_birth_states(birth, rng)
     count = means.shape[0]
-    return GaussianMixture(np.full(count, birth.weight_each), means,
-                           np.broadcast_to(birth.cov, (count,) + birth.cov.shape).copy())
+    return GaussianMixture._assemble(np.full(count, birth.weight_each), means,
+                                     np.broadcast_to(birth.cov, (count,) + birth.cov.shape).copy())
 
 
 def gm_update(prior: GaussianMixture, scan: "_models.MeasurementScan",
@@ -97,6 +98,11 @@ def gm_update(prior: GaussianMixture, scan: "_models.MeasurementScan",
     block is a new part, labelled after the prior's largest label in scan
     order.  This is the one corrector: the ensemble filter applies it to
     its KDE prior as engm_update.
+
+    S, K and the posterior covariance are computed once per component,
+    since none of them depends on the measurement, and the innovations,
+    likelihoods, weights and corrected means of all M measurements in one
+    pass over every (measurement, component) pair.
     """
     p_d = models.detection.p_detect
     meas = models.measurement
@@ -119,31 +125,39 @@ def gm_update(prior: GaussianMixture, scan: "_models.MeasurementScan",
         if np.any(ok):
             h[ok] = meas.jacobian(m[ok])
             eta[ok] = meas.measure(m[ok])
-        s = np.einsum("aij,ajk,alk->ail", h, p, h) + r
+        ht = np.swapaxes(h, -1, -2)
+        hp = h @ p
+        s = hp @ ht + r
         s = 0.5 * (s + np.swapaxes(s, -1, -2))
         sign, log_det = np.linalg.slogdet(s)
         if np.any(sign <= 0):
             raise np.linalg.LinAlgError("singular innovation covariance in mixture update")
         s_inv = np.linalg.inv(s)
-        k_gain = np.einsum("aij,akj,akl->ail", p, h, s_inv)
-        p_post = p - np.einsum("aij,ajk,akl->ail", k_gain, h, p)
+        k_gain = p @ ht @ s_inv
+        p_post = p - k_gain @ hp
         p_post = floor_covariances(0.5 * (p_post + np.swapaxes(p_post, -1, -2)))
         check_covariances(p_post)
+        # every measurement against every component at once: innovations
+        # held component-major, (J, M, z_dim), so that each component's
+        # S^-1 and K apply to all its M innovations in one matmul
+        innov = scan.values[None, :, :] - eta[:, None, :]
         ang = meas.angular
-        z_dim = r.shape[0]
-        log_norm = z_dim * np.log(2.0 * np.pi) + log_det
-        for z, kappa_z in zip(scan.values, kappa):
-            innov = z[None, :] - eta
-            if np.any(ang):
-                innov[:, ang] = _models.wrap_angle(innov[:, ang])
-            quad = np.einsum("ai,aij,aj->a", innov, s_inv, innov)
-            like = np.exp(-0.5 * (quad + log_norm))
-            like[~ok] = 0.0
-            numer = p_d * w * like
-            denom = kappa_z + numer.sum()
-            out_w.append(numer / denom if denom > 0 else np.zeros_like(numer))
-            out_m.append(m + np.einsum("aij,aj->ai", k_gain, innov))
-            out_p.append(p_post)
+        if np.any(ang):
+            innov[..., ang] = _models.wrap_angle(innov[..., ang])
+        quad = np.sum((innov @ s_inv) * innov, axis=-1).T
+        log_norm = r.shape[0] * np.log(2.0 * np.pi) + log_det
+        like = np.exp(-0.5 * (quad + log_norm))
+        like[:, ~ok] = 0.0
+        numer = p_d * w * like
+        denom = kappa + numer.sum(axis=1)
+        # a measurement with no clutter and no detection likelihood gets
+        # an all-zero block
+        out_w.append(np.divide(numer, denom[:, None], out=np.zeros_like(numer),
+                               where=denom[:, None] > 0).ravel())
+        out_m.append((m + np.swapaxes(innov @ np.swapaxes(k_gain, -1, -2), 0, 1))
+                     .reshape(-1, prior.dim))
+        # M references to one block: the final concatenate is the only copy
+        out_p.extend([p_post] * len(scan))
     return GaussianMixture._assemble(np.concatenate(out_w), np.concatenate(out_m),
                                      np.concatenate(out_p), out_parts)
 

@@ -336,6 +336,9 @@ def test_config_errors_exit_code(tmp_path):
     assert main(["run", "--filter", "engm", "--config", str(bad)]) == 1
     assert main(["run", "--filter", "engm", "--config",
                  str(tmp_path / "missing.ini")]) == 1
+    # values that parse but that a model rejects
+    bad.write_text("[birth]\nsigma = 1, 2, 3\n", encoding="utf-8")
+    assert main(["run", "--filter", "smc", "--config", str(bad)]) == 1
     with pytest.raises(SystemExit) as exc:
         main(["run", "--filter", "bogus"])
     assert exc.value.code == 1

@@ -4,7 +4,10 @@ import numpy as np
 import pytest
 
 from phdtrack.gaussmix import (
+    EIG_TOL,
+    FLOOR_SCALE,
     GaussianMixture,
+    check_covariances,
     cumulative_select,
     eval_gaussian,
     floor_covariance,
@@ -64,12 +67,43 @@ def test_floor_covariance_inflates_singular_matrix():
     assert out == pytest.approx(1e-9 * np.eye(3))
 
 
+def with_smallest_eigenvalue(rng, factor):
+    """A rotated 3x3 SPD matrix whose smallest eigenvalue is factor * eps."""
+    rest = np.array([2.0, 5.0])
+    eps = FLOOR_SCALE * (1.0 + rest.sum() / 3)
+    q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+    cov = q @ np.diag(np.concatenate([[factor * eps], rest])) @ q.T
+    return 0.5 * (cov + cov.T)
+
+
+def test_floor_covariances_returns_a_healthy_stack_itself():
+    rng = np.random.default_rng(5)
+    covs = np.stack([random_spd(rng, 3) for _ in range(4)] + [with_smallest_eigenvalue(rng, 1.5)])
+    assert floor_covariances(covs) is covs
+
+
 def test_floor_covariances_batched_matches_scalar():
-    rng = np.random.default_rng(3)
-    covs = np.stack([random_spd(rng, 2), np.zeros((2, 2)), random_spd(rng, 2)])
+    rng = np.random.default_rng(6)
+    # healthy, singular, just below eps, just above eps, healthy
+    covs = np.stack([random_spd(rng, 3), np.zeros((3, 3)), with_smallest_eigenvalue(rng, 0.99),
+                     with_smallest_eigenvalue(rng, 1.01), random_spd(rng, 3)])
+    eps = FLOOR_SCALE * (1.0 + np.trace(covs, axis1=-2, axis2=-1) / 3)
+    assert np.linalg.eigvalsh(covs[2])[0] < eps[2] < np.linalg.eigvalsh(covs[3])[0]
     out = floor_covariances(covs)
+    floored = [not np.array_equal(got, cov) for got, cov in zip(out, covs)]
+    assert floored == [False, True, True, False, False]
     for got, single in zip(out, covs):
-        assert got == pytest.approx(floor_covariance(single), rel=1e-15)
+        assert np.array_equal(got, floor_covariance(single))
+    # the input stack is left as it was
+    assert np.array_equal(covs[1], np.zeros((3, 3)))
+
+
+def test_floor_covariances_leaves_a_negative_definite_matrix_non_psd():
+    covs = np.stack([np.eye(3), -np.eye(3)])
+    out = floor_covariances(covs)
+    assert np.linalg.eigvalsh(out[1])[0] < EIG_TOL
+    with pytest.raises(ValueError, match="PSD"):
+        check_covariances(out)
 
 
 # ---------------------------------------------------------------------------

@@ -177,6 +177,20 @@ def test_birth_model_mass():
         BirthModel(weight_each=-0.5)
 
 
+@pytest.mark.filterwarnings("error")
+def test_birth_model_checks_its_covariance():
+    with pytest.raises(ValueError, match="PSD"):
+        BirthModel(cov=np.diag([2500.0, 2500.0, 2500.0, 25.0, 25.0, -25.0]))
+    skew = np.diag([2500.0, 2500.0, 2500.0, 25.0, 25.0, 25.0])
+    skew[0, 1] = 1.0
+    with pytest.raises(ValueError, match="symmetric"):
+        BirthModel(cov=skew)
+    with pytest.raises(ValueError, match="birth mean"):
+        BirthModel(mean=np.zeros(5))
+    with pytest.raises(ValueError, match="birth mean"):
+        BirthModel(cov=np.eye(5))
+
+
 def test_sample_birth_states_moments():
     birth = BirthModel()
     rng = np.random.default_rng(4)

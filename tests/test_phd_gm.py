@@ -5,7 +5,7 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from phdtrack.gaussmix import GaussianMixture
+from phdtrack.gaussmix import GaussianMixture, floor_covariance
 from phdtrack.models import (
     BirthModel,
     ClutterModel,
@@ -19,6 +19,7 @@ from phdtrack.models import (
     SpawnModel,
     dwna_process_noise,
     sample_birth_states,
+    wrap_angle,
 )
 from phdtrack import phd_gm
 from phdtrack.phd_gm import (
@@ -132,13 +133,6 @@ def test_birth_components_match_birth_states():
     # same rng seed, same sampled means
     assert np.array_equal(mixture.means, sample_birth_states(birth, np.random.default_rng(1)))
     assert len(birth_components(BirthModel(count_per_step=0), np.random.default_rng(1))) == 0
-
-
-@pytest.mark.filterwarnings("ignore:covariance is not symmetric positive-semidefinite")
-def test_birth_components_check_the_birth_covariance():
-    cov = np.diag([2500.0, 2500.0, 2500.0, 25.0, 25.0, -25.0])
-    with pytest.raises(ValueError, match="PSD"):
-        birth_components(BirthModel(cov=cov), np.random.default_rng(1))
 
 
 def test_update_block_structure():
@@ -287,6 +281,113 @@ def test_update_block_properties(seed, count, meas_count, p_detect, log_kappa):
     expected_parts = np.concatenate([prior.parts,
                                      np.repeat(np.arange(first, first + meas_count), count)])
     assert np.array_equal(corrected.parts, expected_parts)
+
+
+def reference_gm_update(prior, scan, models):
+    """gm_update as it was before its algebra was batched: three-operand
+    einsum for S, K and P+, the eigenvalue floor one matrix at a time, and
+    one pass per measurement.  Kept as the oracle for the batched corrector."""
+    p_d = models.detection.p_detect
+    meas = models.measurement
+    kappa = models.clutter.intensity(scan.values, meas)
+    w, m, p = prior.weights, prior.means, prior.covs
+    j = len(prior)
+    out_w, out_m, out_p = [(1.0 - p_d) * w], [m], [p]
+    first = int(prior.parts.max(initial=-1)) + 1
+    out_parts = np.concatenate([prior.parts, np.repeat(np.arange(first, first + len(scan)), j)])
+    if len(scan) and j:
+        ok = meas.linearizable(m)
+        r = np.asarray(meas.noise_cov, dtype=float)
+        h = np.zeros((j, r.shape[0], prior.dim))
+        eta = np.zeros((j, r.shape[0]))
+        if np.any(ok):
+            h[ok] = meas.jacobian(m[ok])
+            eta[ok] = meas.measure(m[ok])
+        s = np.einsum("aij,ajk,alk->ail", h, p, h) + r
+        s = 0.5 * (s + np.swapaxes(s, -1, -2))
+        log_norm = r.shape[0] * np.log(2.0 * np.pi) + np.linalg.slogdet(s)[1]
+        s_inv = np.linalg.inv(s)
+        k_gain = np.einsum("aij,akj,akl->ail", p, h, s_inv)
+        p_post = p - np.einsum("aij,ajk,akl->ail", k_gain, h, p)
+        p_post = np.stack([floor_covariance(0.5 * (c + c.T)) for c in p_post])
+        for z, kappa_z in zip(scan.values, kappa):
+            innov = z[None, :] - eta
+            innov[:, meas.angular] = wrap_angle(innov[:, meas.angular])
+            quad = np.einsum("ai,aij,aj->a", innov, s_inv, innov)
+            like = np.exp(-0.5 * (quad + log_norm))
+            like[~ok] = 0.0
+            numer = p_d * w * like
+            denom = kappa_z + numer.sum()
+            out_w.append(numer / denom if denom > 0 else np.zeros_like(numer))
+            out_m.append(m + np.einsum("aij,aj->ai", k_gain, innov))
+            out_p.append(p_post)
+    return GaussianMixture(np.concatenate(out_w), np.concatenate(out_m), np.concatenate(out_p),
+                           out_parts)
+
+
+def radar_prior(rng, count):
+    """Components across the clutter box, about a quarter of them just below
+    the azimuth branch cut (outside the box, where kappa(z) is 0), and the
+    first at the sensor origin, where the radar cannot be linearized."""
+    pos = rng.uniform([0.0, 0.0, 0.0], [200.0, 200.0, 400.0], size=(count, 3))
+    cut = rng.random(count) < 0.25
+    pos[cut] = np.column_stack([-rng.uniform(50.0, 200.0, cut.sum()),
+                                rng.uniform(-0.5, 0.5, cut.sum()),
+                                rng.uniform(0.0, 400.0, cut.sum())])
+    pos[0] = 0.0
+    factors = rng.normal(size=(count, 6, 6))
+    scales = 10.0 ** rng.uniform(-1.0, 1.0, size=(count, 1, 1))
+    covs = scales * factors @ np.swapaxes(factors, -1, -2) + np.diag([1.0] * 3 + [0.1] * 3)
+    return GaussianMixture(10.0 ** rng.uniform(-4.0, 0.0, size=count),
+                           np.hstack([pos, rng.normal(size=(count, 3))]),
+                           0.5 * (covs + np.swapaxes(covs, -1, -2)),
+                           rng.integers(0, 5, size=count))
+
+
+def radar_scan(rng, prior, meas, meas_count):
+    """Measurements of some components, azimuth wrapped, some anywhere in the
+    box, and some a few sigmas from the sensor, where the component at the
+    origin would have a likelihood if it were not masked."""
+    linearizable = np.flatnonzero(meas.linearizable(prior.means))
+    source = prior.means[rng.choice(linearizable, size=meas_count), :3]
+    anywhere = rng.uniform([0.0, 0.0, 0.0], [200.0, 200.0, 400.0], size=(meas_count, 3))
+    kind = rng.random((meas_count, 1))
+    z = meas.measure(np.where(kind < 0.6, source, anywhere))
+    z[kind[:, 0] >= 0.9] = 0.0
+    z = z + 3.0 * meas.sigmas * rng.normal(size=(meas_count, 3))
+    z[:, 0] = np.abs(z[:, 0])
+    z[:, 1] = wrap_angle(z[:, 1])
+    return MeasurementScan(z)
+
+
+def assert_close_to_scale(got, want, rel=1e-12):
+    """Every entry within rel of the largest entry it is compared with."""
+    assert got.shape == want.shape
+    assert np.all(np.abs(got - want) <= rel * np.abs(want).max(initial=0.0))
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), count=st.integers(2, 30), meas_count=st.integers(0, 8),
+       p_detect=st.floats(0.0, 1.0), rate=st.sampled_from([0.0, 10.0, 1000.0]))
+def test_update_matches_per_measurement_corrector(seed, count, meas_count, p_detect, rate):
+    rng = np.random.default_rng(seed)
+    models = Models(clutter=ClutterModel(rate=rate), detection=DetectionSurvival(p_detect=p_detect))
+    prior = radar_prior(rng, count)
+    scan = radar_scan(rng, prior, models.measurement, meas_count)
+    got = gm_update(prior, scan, models)
+    want = reference_gm_update(prior, scan, models)
+
+    assert np.array_equal(got.parts, want.parts)
+    for g, w in [(got.weights, want.weights), (got.means, want.means), (got.covs, want.covs)]:
+        assert g.shape == w.shape
+        assert np.array_equal(g[:count], w[:count])
+    for m in range(meas_count):
+        block = slice((1 + m) * count, (2 + m) * count)
+        assert_close_to_scale(got.weights[block], want.weights[block])
+        for g, w in zip(got.means[block], want.means[block]):
+            assert_close_to_scale(g, w)
+        for g, w in zip(got.covs[block], want.covs[block]):
+            assert_close_to_scale(g, w)
 
 
 def test_prune_drops_light_components_but_keeps_mass():
@@ -615,6 +716,18 @@ def test_update_checks_posterior_covariances(monkeypatch):
     x = np.array([60.0, 70.0, 80.0, 0.5, -0.5, 2.0])
     prior = GaussianMixture(np.array([1.0]), x[None],
                             np.diag([25.0, 25.0, 25.0, 1.0, 1.0, 1.0])[None])
+    scan = MeasurementScan(models.measurement.measure(x)[None])
+    with pytest.raises(ValueError, match="PSD"):
+        gm_update(prior, scan, models)
+
+
+def test_update_rejects_a_posterior_the_floor_cannot_mend():
+    # a prior covariance that never passed a check: -0.01 I keeps S positive
+    # definite under the radar's noise, but P+ stays negative definite and
+    # the floor, eps * I with eps about 1e-9, cannot lift it
+    models = Models()
+    x = np.array([60.0, 70.0, 80.0, 0.5, -0.5, 2.0])
+    prior = GaussianMixture._assemble(np.array([1.0]), x[None], -0.01 * np.eye(6)[None])
     scan = MeasurementScan(models.measurement.measure(x)[None])
     with pytest.raises(ValueError, match="PSD"):
         gm_update(prior, scan, models)

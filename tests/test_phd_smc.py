@@ -1,5 +1,7 @@
 """Particle intensity filter: prediction, reweighting, resampling, clustering."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -44,6 +46,19 @@ def test_particle_set_validation():
     empty = ParticleSet(np.zeros((0, 6)), np.zeros(0))
     assert len(empty) == 0
     assert empty.mass == 0.0
+
+
+@pytest.mark.filterwarnings("error")
+def test_predict_cannot_reach_a_bad_birth_covariance():
+    # smc draws its births straight from the birth Gaussian, where numpy only
+    # warns about a covariance that is not PSD; the birth model rejects it
+    # before any draw, however the model is built
+    bad = np.diag([2500.0, 2500.0, 2500.0, 25.0, 25.0, -25.0])
+    cloud = ParticleSet(np.tile([50.0, 50.0, 50.0, 1.0, 0.0, 0.0], (5, 1)), np.full(5, 0.3))
+    with pytest.raises(ValueError, match="PSD"):
+        smc_predict(cloud, Models(birth=BirthModel(cov=bad)), np.random.default_rng(2))
+    with pytest.raises(ValueError, match="PSD"):
+        replace(Models().birth, cov=bad)
 
 
 def test_predict_mass_and_layout():
