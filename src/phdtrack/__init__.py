@@ -26,8 +26,6 @@ from .models import (
     Models,
     MotionModel,
     RadarMeasurementModel,
-    SpawnComponent,
-    SpawnModel,
     propagate_state,
     transition_matrix,
 )

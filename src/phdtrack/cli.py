@@ -1,9 +1,8 @@
-"""Command-line front end: run experiments, compare filters, validate, emit config.
+"""Command-line front end: run experiments, compare filters, emit config.
 
 Subcommands:
   run          one filter over a Monte Carlo batch, records to CSV
   compare      all three filters on identical scans (paired seeds)
-  validate     built-in invariant and oracle self-checks
   emit-config  write the default configuration file
 
 Configuration is a flat INI file with one section per model; every value
@@ -204,15 +203,19 @@ def parse_config_text(text: str) -> FileConfig:
     cfg = FileConfig()
     for section in parser.sections():
         if section == "targets":
-            targets = []
-            keys = sorted(parser["targets"], key=lambda k: k.lower())
-            for key in keys:
-                if not key.startswith("target_"):
-                    raise ConfigError(f"targets.{key}: expected keys named target_<i>")
+            # rows in the order of their integer index, which is the order
+            # generate_scan draws detections in: target_2 before target_10
+            indexed = []
+            for key, value in parser["targets"].items():
+                index = key.removeprefix("target_")
+                if index == key or not index.isdecimal():
+                    raise ConfigError(f"targets.{key}: expected keys named target_<i>, "
+                                      f"i an integer")
                 try:
-                    targets.append(_parse_vector(parser["targets"][key]))
+                    indexed.append((int(index), _parse_vector(value)))
                 except ValueError as exc:
                     raise ConfigError(f"targets.{key}: {exc}") from exc
+            targets = [row for _, row in sorted(indexed, key=lambda item: item[0])]
             if targets:
                 if len({len(t) for t in targets}) != 1:
                     raise ConfigError("targets: all targets need the same dimension")
@@ -343,7 +346,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     common(sub.add_parser("run", help="run one filter and write record CSVs"), True)
     common(sub.add_parser("compare", help="run gm, smc, and engm on identical scans"), False)
-    sub.add_parser("validate", help="run the built-in self-checks")
     emit = sub.add_parser("emit-config", help="write the default configuration file")
     emit.add_argument("path", nargs="?", default="scenario.ini")
     return parser
@@ -425,224 +427,6 @@ def _cmd_emit_config(args) -> int:
     return 0
 
 
-# ---------------------------------------------------------------------------
-# validate: a fast, self-contained invariant and oracle sweep.
-
-def _check_bandwidth():
-    from .gaussmix import silverman_bandwidth
-    value = silverman_bandwidth(6, 250)
-    assert abs(value - 0.28854) <= 1e-4, value
-    assert silverman_bandwidth(2, 1) == 1.0
-    return f"silverman(6, 250) = {value:.5f}"
-
-
-def _check_kde():
-    from .gaussmix import kde_from_particles, silverman_bandwidth
-    rng = np.random.default_rng(11)
-    cloud = np.concatenate([rng.standard_normal((30, 3)),
-                            50.0 + 3.0 * rng.standard_normal((25, 3))])
-    parts = np.repeat([0, 1], [30, 25])
-    mix = kde_from_particles(cloud, 2.5, parts)
-    assert abs(mix.mass - 2.5) <= 1e-12 * 2.5
-    for label in (0, 1):
-        own = cloud[parts == label]
-        kernel = silverman_bandwidth(3, len(own)) * np.cov(own.T, ddof=1)
-        assert np.abs(mix.covs[parts == label] - kernel).max() <= 1e-12 * np.abs(kernel).max()
-    one_d = kde_from_particles(np.array([[0.0], [2.0]]), 1.0)
-    assert abs(one_d.covs[0][0, 0] - 1.7006) <= 1e-3
-    return "mass conserved, each part its own kernel beta(n, J_p) * Cov(part)"
-
-
-def _check_selection():
-    from .gaussmix import GaussianMixture, cumulative_select, sample_mixture
-    weights = np.array([0.5, 0.3, 0.2])
-    picks = [cumulative_select(weights, u) for u in (0.2, 0.7, 1.0)]
-    assert picks == [0, 1, 2], picks
-    mix = GaussianMixture(weights, np.zeros((3, 2)), np.broadcast_to(np.eye(2), (3, 2, 2)).copy())
-    a = sample_mixture(mix, 50, np.random.default_rng(3))
-    b = sample_mixture(mix, 50, np.random.default_rng(3))
-    assert np.array_equal(a, b)
-    return "cumulative rule and seeded determinism hold"
-
-
-def _check_density():
-    from .gaussmix import eval_gaussian
-    xs = np.linspace(-10.0, 10.0, 10001)
-    vals = [eval_gaussian(np.array([x]), np.array([0.3]), np.array([[1.7]])) for x in xs]
-    integral = np.trapezoid(vals, xs)
-    assert abs(integral - 1.0) <= 1e-6, integral
-    return f"1-D density integrates to {integral:.8f}"
-
-
-def _check_jacobian():
-    from .models import RadarMeasurementModel
-    meas = RadarMeasurementModel()
-    rng = np.random.default_rng(7)
-    states = rng.uniform(20.0, 200.0, size=(200, 6))
-    jac = meas.jacobian(states)
-    for d in range(3):
-        h = 1e-6 * (1.0 + np.abs(states[:, d]))
-        hi = states.copy(); hi[:, d] += h
-        lo = states.copy(); lo[:, d] -= h
-        fd = (meas.measure(hi) - meas.measure(lo)) / (2 * h[:, None])
-        assert np.abs(fd - jac[:, :, d]).max() <= 1e-5
-    return "analytic radar jacobian matches finite differences"
-
-
-def _check_clutter():
-    from .models import ClutterModel, RadarMeasurementModel
-    model = ClutterModel()
-    meas = RadarMeasurementModel()
-    volume = float(np.prod(model.region[:, 1] - model.region[:, 0]))
-    assert abs(model.density * volume - 1.0) <= 1e-12
-    assert abs(model.kappa - 6.25e-7) <= 1e-20
-    z = meas.measure(np.array([[50.0, 80.0, 120.0], [-10.0, 50.0, 50.0]]))
-    kappa = model.intensity(z, meas)
-    expect = model.rate * model.density * z[0, 0] ** 2 * np.cos(z[0, 2])
-    assert abs(kappa[0] - expect) <= 1e-12 * expect, (kappa[0], expect)
-    assert kappa[1] == 0.0, kappa[1]
-    return (f"clutter intensity {model.kappa:.3e} in the box, "
-            f"kappa(z) = rate * density * r^2 cos(el) inside, 0 outside")
-
-
-def _check_assignment():
-    from itertools import permutations
-    from .metrics import assignment_min_cost
-    rng = np.random.default_rng(13)
-    for size in range(2, 6):
-        for _ in range(20):
-            cost = rng.random((size, size))
-            _, total = assignment_min_cost(cost)
-            brute = min(sum(cost[i, p[i]] for i in range(size))
-                        for p in permutations(range(size)))
-            assert abs(total - brute) <= 1e-12
-    return "assignment equals brute force up to size 5"
-
-
-def _check_ospa():
-    from .metrics import OspaParams, ospa
-    params = OspaParams(100.0, 2.0)
-    total, loc, card = ospa(np.array([[0.0, 0.0, 0.0]]), np.array([[3.0, 4.0, 0.0]]), params)
-    assert abs(total - 5.0) <= 1e-9 and abs(card) <= 1e-12
-    total, _, _ = ospa(np.zeros((0, 3)), np.array([[1.0, 2.0, 3.0]]), params)
-    assert abs(total - 100.0) <= 1e-9
-    total, _, _ = ospa(np.array([[0.0, 0.0, 0.0]]),
-                       np.array([[0.0, 0.0, 0.0], [500.0, 500.0, 500.0]]), params)
-    assert abs(total - 100.0 / np.sqrt(2.0)) <= 1e-9
-    assert ospa(np.zeros((0, 3)), np.zeros((0, 3)), params) == (0.0, 0.0, 0.0)
-    return "cutoff and decomposition examples hold"
-
-
-def _check_gm_ledger():
-    from .gaussmix import GaussianMixture
-    from .phd_gm import gm_predict, gm_update, prune_merge_cap
-    from .scenario import ScenarioConfig, generate_scan, simulate_truth
-    config = ScenarioConfig(filter_kind="gm", t_end=10.0)
-    truth = simulate_truth(config)
-    rng = np.random.default_rng(17)
-    mix = GaussianMixture(np.array([config.init_weight]), np.zeros((1, 6)),
-                          np.eye(6)[None, :, :])
-    p_s = config.models.detection.p_survive
-    birth_mass = config.models.birth.mass_per_step
-    for k in range(1, 11):
-        predicted = gm_predict(mix, config.models, rng)
-        expect = p_s * mix.mass + birth_mass
-        assert abs(predicted.mass - expect) <= 1e-12 * max(expect, 1.0)
-        mix = prune_merge_cap(gm_update(predicted, generate_scan(truth[k], config.models, rng),
-                                        config.models), config.gm)
-    return "predicted mass = p_survive * mass + birth mass, 10 steps"
-
-
-def _check_particle_ledgers():
-    from .phd_smc import ParticleSet, smc_resample
-    from .gaussmix import GaussianMixture
-    from .phd_engm import engm_resample
-    rng = np.random.default_rng(19)
-    cloud = ParticleSet(rng.standard_normal((120, 6)), rng.random(120))
-    resampled = smc_resample(cloud, 250, rng)
-    assert abs(resampled.mass - cloud.mass) <= 1e-12 * cloud.mass
-    weights = rng.random(40)
-    mix = GaussianMixture(weights, rng.standard_normal((40, 6)),
-                          np.broadcast_to(np.eye(6), (40, 6, 6)).copy())
-    state = engm_resample(mix, 250, rng)
-    assert abs(state.particles.mass - mix.mass) <= 1e-12 * mix.mass
-    assert state.particles.weights.max() == state.particles.weights.min()
-    return "resampling conserves mass with uniform weights"
-
-
-def _check_reduction():
-    from .phd_engm import EngmPhdState, engm_predict, engm_resample, engm_update, engmf_step
-    from .phd_smc import ParticleSet
-    from .models import MeasurementScan, Models, ClutterModel, DetectionSurvival, BirthModel
-    from .scenario import ScenarioConfig, simulate_truth, generate_scan
-    models = Models(
-        birth=BirthModel(count_per_step=0, weight_each=0.0),
-        clutter=ClutterModel(rate=0.0, kappa_override=0.0),
-        detection=DetectionSurvival(p_detect=1.0, p_survive=1.0),
-    )
-    config = ScenarioConfig(initial_targets=np.array([[50.0, 50.0, 50.0, 0.5, 0.5, 2.0]]),
-                            models=models, t_end=10.0, seed=23)
-    truth = simulate_truth(config)
-    scan_rng = np.random.default_rng(29)
-    scans = [generate_scan(truth[k], models, scan_rng) for k in range(1, 11)]
-    j = 50
-    init = np.array([50.0, 50.0, 50.0, 0.5, 0.5, 2.0]) + np.random.default_rng(31).standard_normal((j, 6))
-    rng_a = np.random.default_rng(37)
-    rng_b = np.random.default_rng(37)
-    state = EngmPhdState(ParticleSet(init.copy(), np.full(j, 1.0 / j)), j)
-    reference = init.copy()
-    for scan in scans:
-        prior = engm_predict(state, models, rng_a)
-        state = engm_resample(engm_update(prior, scan, models), j, rng_a)
-        reference = engmf_step(reference, scan, models, rng_b)
-        err = np.abs(state.particles.states - reference).max()
-        assert err <= 1e-9 * max(1.0, np.abs(reference).max()), err
-    return "intensity recursion collapses to the single-target reference"
-
-
-def _check_determinism():
-    from .scenario import ScenarioConfig, run_filter
-    config = ScenarioConfig(t_end=5.0, seed=7)
-    a = run_filter(config)
-    b = run_filter(config)
-    same = all(np.array_equal(x.extracted, y.extracted) and x.n_hat == y.n_hat
-               and x.ospa_total == y.ospa_total for x, y in zip(a, b))
-    assert same
-    return "identical seeds give identical runs"
-
-
-_CHECKS = [
-    ("bandwidth", _check_bandwidth),
-    ("kde", _check_kde),
-    ("selection", _check_selection),
-    ("density", _check_density),
-    ("jacobian", _check_jacobian),
-    ("clutter", _check_clutter),
-    ("assignment", _check_assignment),
-    ("ospa", _check_ospa),
-    ("gm-ledger", _check_gm_ledger),
-    ("particle-ledgers", _check_particle_ledgers),
-    ("reduction", _check_reduction),
-    ("determinism", _check_determinism),
-]
-
-
-def _cmd_validate(_args) -> int:
-    failures = 0
-    for name, check in _CHECKS:
-        try:
-            detail = check()
-            print(f"ok   {name}: {detail}")
-        except Exception as exc:  # report every failed check, then exit nonzero
-            failures += 1
-            print(f"FAIL {name}: {exc!r}")
-    if failures:
-        print(f"{failures} of {len(_CHECKS)} checks failed")
-        return 2
-    print(f"all {len(_CHECKS)} checks passed")
-    return 0
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
@@ -650,8 +434,6 @@ def main(argv=None) -> int:
             return _cmd_run(args)
         if args.command == "compare":
             return _cmd_compare(args)
-        if args.command == "validate":
-            return _cmd_validate(args)
         if args.command == "emit-config":
             return _cmd_emit_config(args)
     except ConfigError as exc:

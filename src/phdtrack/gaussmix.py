@@ -258,30 +258,15 @@ def eval_gaussian(x: np.ndarray, mean: np.ndarray, cov: np.ndarray) -> float:
     return float(np.exp(-0.5 * (quad + n * np.log(2.0 * np.pi) + log_det)))
 
 
-def cumulative_select(weights: np.ndarray, u: float) -> int:
-    """Index of the first component whose cumulative normalized weight reaches u.
-
-    Weights are normalized on an internal copy; the input is untouched.
-    Returns the smallest index l with sum(w[0..l]) >= u.  If roundoff in
-    the cumulative sum leaves u beyond the final entry, the last index is
-    returned.
-    """
-    w = np.asarray(weights, dtype=float)
-    total = w.sum()
-    if total <= 0:
-        raise ValueError("cannot select from a mixture with zero mass")
-    cum = np.cumsum(w / total)
-    return int(min(np.searchsorted(cum, u, side="left"), len(w) - 1))
-
-
 def sample_mixture(mixture: GaussianMixture, count: int, rng: np.random.Generator) -> np.ndarray:
     """Draw `count` i.i.d. samples from a Gaussian mixture.
 
-    Per sample: draw u ~ U(0, 1), pick the component by cumulative_select
-    over the (internally normalized) weights, then draw from that
-    component's Gaussian via a Cholesky factor.  Returns (count, dim).
-    Components with zero weight are never selected.  A factorization
-    failure is an error, not a silent repair.
+    Per sample: draw u ~ U(0, 1), pick the first component whose
+    cumulative normalized weight reaches u (the last one if roundoff
+    leaves u beyond the final sum), then draw from that component's
+    Gaussian via a Cholesky factor.  Returns (count, dim).  Components
+    with zero weight are never selected.  A factorization failure is an
+    error, not a silent repair.
     """
     return sample_mixture_indexed(mixture, count, rng)[1]
 

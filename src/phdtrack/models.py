@@ -1,4 +1,4 @@
-"""Motion, measurement, birth, spawn, and clutter models.
+"""Motion, measurement, birth, and clutter models.
 
 State vectors are [rx, ry, rz, vx, vy, vz]: position and velocity in a
 Cartesian frame with a sensor at the origin.  Motion is constant-velocity
@@ -242,22 +242,6 @@ class BirthModel:
 
 
 @dataclass(frozen=True)
-class SpawnComponent:
-    """One spawn kernel term: weight, mean offset from the parent, covariance."""
-
-    weight: float
-    offset: np.ndarray
-    cov: np.ndarray
-
-
-@dataclass(frozen=True)
-class SpawnModel:
-    """Gaussian-mixture spawn kernel applied to every parent component; may be empty."""
-
-    components: tuple = ()
-
-
-@dataclass(frozen=True)
 class ClutterModel:
     """Poisson clutter: uniform in a Cartesian box, observed through the radar map.
 
@@ -346,7 +330,6 @@ class Models:
     motion: MotionModel = field(default_factory=MotionModel)
     measurement: object = field(default_factory=RadarMeasurementModel)
     birth: BirthModel = field(default_factory=BirthModel)
-    spawn: SpawnModel = field(default_factory=SpawnModel)
     clutter: ClutterModel = field(default_factory=ClutterModel)
     detection: DetectionSurvival = field(default_factory=DetectionSurvival)
 

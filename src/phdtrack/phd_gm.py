@@ -1,8 +1,8 @@
 """Gaussian-mixture form of the intensity recursion.
 
 Prediction pushes every component through the constant-velocity map
-F(dt) and appends spawn and birth components (birth_components, which
-the ensemble filter shares); the update, gm_update, runs a bank of
+F(dt) and appends birth components (birth_components, which the
+ensemble filter shares); the update, gm_update, runs a bank of
 extended Kalman corrections, one missed-detection copy plus one corrected
 copy per measurement, and is the corrector of the ensemble filter too.
 Mixture growth is contained by prune / merge / cap, which preserves total
@@ -46,30 +46,22 @@ class GmPhdConfig:
 
 def gm_predict(posterior: GaussianMixture, models: "_models.Models",
                rng: np.random.Generator) -> GaussianMixture:
-    """Predicted mixture: survivors, then spawn terms, then sampled births.
+    """Predicted mixture: survivors, then sampled births.
 
     Survivors keep their means under the transition matrix with covariance
-    F P F' + Q and weight scaled by p_survive.  Every spawn kernel term is
-    applied to every parent.  The births are birth_components.
+    F P F' + Q and weight scaled by p_survive.  The births are
+    birth_components.
     """
     f = models.motion.transition
     q = models.motion.process_noise
     p_s = models.detection.p_survive
-    weights = [p_s * posterior.weights]
-    means = [posterior.means @ f.T]
     covs_pred = np.einsum("ij,ajk,lk->ail", f, posterior.covs, f) + q
-    covs = [0.5 * (covs_pred + np.swapaxes(covs_pred, -1, -2))]
-    for term in models.spawn.components:
-        weights.append(term.weight * posterior.weights)
-        means.append(posterior.means + np.asarray(term.offset, dtype=float))
-        covs.append(posterior.covs + np.asarray(term.cov, dtype=float))
-    check_covariances(np.concatenate(covs))
+    covs = 0.5 * (covs_pred + np.swapaxes(covs_pred, -1, -2))
+    check_covariances(covs)
     births = birth_components(models.birth, rng)
-    weights.append(births.weights)
-    means.append(births.means)
-    covs.append(births.covs)
-    return GaussianMixture._assemble(np.concatenate(weights), np.concatenate(means),
-                                     np.concatenate(covs))
+    return GaussianMixture._assemble(np.concatenate([p_s * posterior.weights, births.weights]),
+                                     np.concatenate([posterior.means @ f.T, births.means]),
+                                     np.concatenate([covs, births.covs]))
 
 
 def birth_components(birth: "_models.BirthModel", rng: np.random.Generator) -> GaussianMixture:

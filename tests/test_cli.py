@@ -190,6 +190,20 @@ def test_round_trip_preserves_overrides():
     assert emit_config_text(parsed) == text
 
 
+def test_targets_keep_their_integer_order():
+    # target_10 sorts before target_2 as a string; rows must come back in
+    # index order, which is the order scans draw detections in
+    cfg = FileConfig()
+    cfg.targets = [[float(i), 0.0, 0.0, 0.0, 0.0, 0.0] for i in range(1, 12)]
+    text = emit_config_text(cfg)
+    parsed = parse_config_text(text)
+    assert [row[0] for row in parsed.targets] == list(range(1, 12))
+    assert emit_config_text(parsed) == text
+    for key in ("target_x", "target_", "target_1.5", "target_-1"):
+        with pytest.raises(ConfigError, match=f"targets.{key}:"):
+            parse_config_text(f"[targets]\n{key} = 1,2,3,4,5,6\n")
+
+
 def test_parse_rejects_unknown_sections_and_keys():
     good = emit_config_text(FileConfig())
     with pytest.raises(ConfigError):
@@ -352,10 +366,6 @@ def test_bad_environment_value(tmp_path, monkeypatch):
     monkeypatch.setenv("PHDTRACK_RUNS", "many")
     assert main(["run", "--filter", "smc", "--config", config,
                  "--out-dir", str(tmp_path / "x"), "--threads", "1"]) == 1
-
-
-def test_validate_command():
-    assert main(["validate"]) == 0
 
 
 def test_run_deterministic_outputs(tmp_path):

@@ -8,7 +8,6 @@ from phdtrack.gaussmix import (
     FLOOR_SCALE,
     GaussianMixture,
     check_covariances,
-    cumulative_select,
     eval_gaussian,
     floor_covariance,
     floor_covariances,
@@ -35,6 +34,7 @@ def test_silverman_frozen_values():
     assert silverman_bandwidth(6, 260) == pytest.approx(0.2862854862642724, abs=1e-15)
     assert silverman_bandwidth(2, 4) == pytest.approx(0.6299605249474366, abs=1e-15)
     assert silverman_bandwidth(1, 1) == pytest.approx(1.1219551454461995, abs=1e-15)
+    assert silverman_bandwidth(2, 1) == 1.0
 
 
 def test_silverman_monotone_in_count():
@@ -214,6 +214,10 @@ def test_kde_hand_case():
     expected = 0.8399473665965821
     for cov in kde.covs:
         assert cov == pytest.approx(expected * np.eye(2), rel=1e-12)
+    # two particles at 0 and 2 on a line: sample variance 2, kernel
+    # beta(1, 2) * 2 = 1.7005660008343878 (30 digits, frozen)
+    kde = kde_from_particles(np.array([[0.0], [2.0]]), 1.0)
+    assert kde.covs == pytest.approx(np.full((2, 1, 1), 1.7005660008343878), rel=1e-12)
 
 
 def test_kde_matches_direct_recomputation():
@@ -339,23 +343,52 @@ def test_eval_gaussian_shape_mismatch():
 
 
 # ---------------------------------------------------------------------------
-# cumulative_select / sample_mixture
+# sample_mixture
 
 
-def test_cumulative_select_hand_walk():
-    weights = np.array([0.1, 0.4, 0.5])
-    # cumulative normalized weights are 0.1, 0.5, 1.0
-    assert cumulative_select(weights, 0.05) == 0
-    assert cumulative_select(weights, 0.2) == 1
-    assert cumulative_select(weights, 0.7) == 2
-    assert cumulative_select(weights, 1.0) == 2
+class FixedDraws:
+    """Generator stand-in: random() returns the given u values, standard_normal() zeros.
+
+    With zero noise every draw lands on its component's mean, so the
+    selection rule can be read off the samples.
+    """
+
+    def __init__(self, us):
+        self.us = np.asarray(us, dtype=float)
+
+    def random(self, count):
+        assert count == len(self.us)
+        return self.us
+
+    def standard_normal(self, shape):
+        return np.zeros(shape)
 
 
-def test_cumulative_select_ignores_scale_and_zero_weights():
-    assert cumulative_select(np.array([0.0, 2.0, 0.0, 6.0]), 0.1) == 1
-    assert cumulative_select(np.array([0.0, 2.0, 0.0, 6.0]), 0.9) == 3
-    with pytest.raises(ValueError):
-        cumulative_select(np.zeros(3), 0.5)
+def selected(weights, us):
+    """Component indices sample_mixture_indexed picks for the given u values."""
+    j = len(weights)
+    means = np.arange(j, dtype=float)[:, None] * 10.0
+    mix = GaussianMixture(np.asarray(weights, dtype=float), means,
+                          np.broadcast_to(np.eye(1), (j, 1, 1)).copy())
+    idx, draws = sample_mixture_indexed(mix, len(us), FixedDraws(us))
+    assert np.array_equal(draws, means[idx])
+    return idx.tolist()
+
+
+def test_selection_rule_hand_walk():
+    # cumulative normalized weights are 0.1, 0.5, 1.0; a u on a boundary
+    # picks the component whose cumulative weight reaches it
+    assert selected([0.1, 0.4, 0.5], [0.05, 0.1, 0.2, 0.5, 0.7, 1.0]) == [0, 0, 1, 1, 2, 2]
+    # ten weights of 0.1 sum to 0.9999999999999999, so u = 1.0 lies beyond
+    # the final cumulative weight and maps to the last index
+    assert selected(np.full(10, 0.1), [1.0]) == [9]
+
+
+def test_selection_rule_ignores_scale_and_zero_weights():
+    # cumulative normalized weights are 0, 0.25, 0.25, 1.0
+    assert selected([0.0, 2.0, 0.0, 6.0], [0.1, 0.25, 0.26, 0.9, 1.0]) == [1, 1, 3, 3, 3]
+    with pytest.raises(ValueError, match="zero mass"):
+        selected(np.zeros(3), [0.5])
 
 
 def test_sample_mixture_selection_frequencies():

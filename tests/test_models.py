@@ -43,7 +43,7 @@ def test_propagate_batched():
     assert out == pytest.approx(expected, abs=1e-9)
 
 
-def test_transition_matrix_agrees_with_integrator():
+def test_transition_matrix_agrees_with_propagate_state():
     f = transition_matrix(2.0)
     x = np.array([1.0, -2.0, 3.0, 0.5, 0.25, -1.0])
     assert f @ x == pytest.approx(propagate_state(x, 2.0), abs=1e-10)
@@ -327,5 +327,4 @@ def test_models_bundle_defaults():
     assert isinstance(models.measurement, RadarMeasurementModel)
     assert models.birth.mass_per_step == pytest.approx(0.1)
     assert models.clutter.kappa == pytest.approx(6.25e-7)
-    assert models.spawn.components == ()
     assert models.motion.dt == 1.0

@@ -66,7 +66,7 @@ def test_state_validation():
         EngmPhdState(cloud, 4, np.array([1.0, 1.0, 3.0, 3.0]))
 
 
-def test_predict_rebuilds_shared_covariance_kde():
+def test_predict_gives_an_unlabelled_cloud_one_kernel_then_births():
     rng = np.random.default_rng(12)
     states = np.concatenate([
         rng.standard_normal((10, 6)) * 2.0 + [60, 60, 60, 0.5, 0.5, 2.0],
@@ -137,7 +137,7 @@ def test_predict_without_births_wraps_survivors_directly():
     assert np.array_equal(light.covs, predicted.covs)
 
 
-def test_predict_zero_survivor_mass_returns_birth_kde():
+def test_predict_zero_survivor_mass_returns_only_births():
     rng = np.random.default_rng(14)
     state = uniform_cloud(rng.standard_normal((8, 6)), 0.0)
     predicted = engm_predict(state, Models(), rng)
@@ -178,7 +178,7 @@ def test_resample_uniform_and_mass_preserving():
         engm_resample(posterior, 0, np.random.default_rng(0))
 
 
-def test_extract_delegates_to_clustering():
+def test_extract_takes_weighted_means_of_the_heaviest_parts():
     # the corrected mixture's parts are the clusters: two heavy parts around
     # x = 10 and x = 90 and one light part that the rounded mass leaves out
     rng = np.random.default_rng(17)

@@ -15,8 +15,6 @@ from phdtrack.models import (
     Models,
     MotionModel,
     RadarMeasurementModel,
-    SpawnComponent,
-    SpawnModel,
     dwna_process_noise,
     sample_birth_states,
     wrap_angle,
@@ -102,25 +100,6 @@ def test_predict_mass_and_structure():
     expected_cov = f @ prior.covs[0] @ f.T + models.motion.process_noise
     assert predicted.covs[0] == pytest.approx(expected_cov, rel=1e-12)
     assert predicted.weights[2:] == pytest.approx(np.full(10, 0.01))
-
-
-def test_predict_with_spawn_terms():
-    spawn = SpawnModel(components=(
-        SpawnComponent(0.2, np.array([5.0, 0.0, 0.0, 0.0, 0.0, 0.0]), np.eye(6)),
-    ))
-    models = Models(spawn=spawn)
-    prior = GaussianMixture(np.array([0.5]),
-                            np.array([[50.0, 50.0, 50.0, 0.0, 0.0, 0.0]]),
-                            np.eye(6)[None] * 4.0)
-    predicted = gm_predict(prior, models, np.random.default_rng(0))
-    # one survivor, one spawn term, ten births
-    assert len(predicted) == 12
-    expected_mass = (models.detection.p_survive + 0.2) * 0.5 + 0.1
-    assert predicted.mass == pytest.approx(expected_mass, rel=1e-12)
-    # the spawn component sits at parent mean plus offset with summed covariance
-    assert predicted.means[1] == pytest.approx(prior.means[0] + np.array([5, 0, 0, 0, 0, 0]))
-    assert predicted.covs[1] == pytest.approx(prior.covs[0] + np.eye(6))
-    assert predicted.weights[1] == pytest.approx(0.1, rel=1e-12)
 
 
 def test_birth_components_match_birth_states():
