@@ -8,9 +8,7 @@ Subcommands:
 Configuration is a flat INI file with one section per model; every value
 defaults to the reference two-target radar scenario, so an empty file (or
 no file) reproduces it.  Angles in the file are degrees; everything
-internal is radians.  Flags beat environment variables (PHDTRACK_FILTER,
-PHDTRACK_RUNS, PHDTRACK_SEED, PHDTRACK_CONFIG, PHDTRACK_OUT_DIR,
-PHDTRACK_THREADS), which beat the file.
+internal is radians.  Flags beat the file.
 
 Exit codes: 0 success, 1 configuration or usage error, 2 numerical
 failure.
@@ -32,8 +30,6 @@ from . import models as _models
 from .metrics import OspaParams
 from .phd_gm import GmPhdConfig
 from .scenario import FILTER_KINDS, MonteCarloSummary, RunRecord, ScenarioConfig, run_monte_carlo
-
-ENV_PREFIX = "PHDTRACK_"
 
 RECORD_HEADER = "run,filter,k,n_true,n_hat,ospa,ospa_loc,ospa_card,n_components,wall_ms"
 STATE_HEADER = "run,filter,k,target_slot,rx,ry,rz,vx,vy,vz"
@@ -74,7 +70,6 @@ class FileConfig:
     filter: str = _in("scenario", default="engm")
     runs: int = _in("scenario", default=25)
     seed: int = _in("scenario", default=0)
-    t_start: float = _in("scenario", default=0.0)
     t_end: float = _in("scenario", default=100.0)
     dt: float = _in("scenario", default=1.0)
     budget: int = _in("scenario", default=250)
@@ -101,15 +96,12 @@ class FileConfig:
     y_max: float = _in("clutter", default=200.0)
     z_min: float = _in("clutter", default=0.0)
     z_max: float = _in("clutter", default=400.0)
-    density: float = _in("clutter", default=6.25e-8)
     kappa_override: float | None = _in("clutter", default=None)
     p_detect: float = _in("detection", default=0.98)
     p_survive: float = _in("detection", default=0.99)
     prune_threshold: float = _in("gm", default=1e-5)
     merge_threshold: float = _in("gm", default=4.0)
     max_components: int = _in("gm", default=250)
-    extraction: str = _in("gm", default="top-n")
-    extraction_threshold: float = _in("gm", default=0.5)
     ospa_cutoff: float = _in("ospa", "cutoff", default=100.0)
     ospa_order: float = _in("ospa", "order", default=2.0)
 
@@ -135,20 +127,16 @@ class FileConfig:
                 region=np.array([[self.x_min, self.x_max],
                                  [self.y_min, self.y_max],
                                  [self.z_min, self.z_max]]),
-                density=self.density,
                 kappa_override=self.kappa_override,
             ),
             detection=_models.DetectionSurvival(self.p_detect, self.p_survive),
         )
         return ScenarioConfig(
             initial_targets=np.asarray(self.targets, dtype=float),
-            t_start=self.t_start,
             t_end=self.t_end,
-            dt=self.dt,
             models=models,
             filter_kind=self.filter,
-            gm=GmPhdConfig(self.prune_threshold, self.merge_threshold,
-                           self.max_components, self.extraction, self.extraction_threshold),
+            gm=GmPhdConfig(self.prune_threshold, self.merge_threshold, self.max_components),
             budget=self.budget,
             init_weight=self.init_weight,
             resample_method=self.resample,
@@ -324,10 +312,6 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _env(name: str) -> str | None:
-    return os.environ.get(ENV_PREFIX + name)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="phdtrack", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -352,38 +336,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _resolve(args) -> tuple[ScenarioConfig, str, int]:
-    config_path = args.config or _env("CONFIG")
-    file_cfg = load_file_config(config_path)
+    file_cfg = load_file_config(args.config)
+    # compare has no --filter flag
+    flags = {"filter_kind": getattr(args, "filter", None), "runs": args.runs, "seed": args.seed}
     try:
-        scenario = file_cfg.to_scenario()
-    except ValueError as exc:  # a model rejected a value, e.g. a birth sigma of the wrong length
-        raise ConfigError(f"invalid model: {exc}") from exc
-    filter_kind = getattr(args, "filter", None) or _env("FILTER")
-    if filter_kind is not None:
-        if filter_kind not in FILTER_KINDS:
-            raise ConfigError(f"filter: must be one of {'/'.join(FILTER_KINDS)}")
-        scenario = replace(scenario, filter_kind=filter_kind)
-    for name, attr in (("RUNS", "runs"), ("SEED", "seed")):
-        value = getattr(args, attr, None)
-        if value is None and _env(name) is not None:
-            try:
-                value = int(_env(name))
-            except ValueError as exc:
-                raise ConfigError(f"{ENV_PREFIX}{name}: {exc}") from exc
-        if value is not None:
-            scenario = replace(scenario, **{attr: value})
-    out_dir = args.out_dir or _env("OUT_DIR") or "results"
-    threads = args.threads
-    if threads is None and _env("THREADS") is not None:
-        try:
-            threads = int(_env("THREADS"))
-        except ValueError as exc:
-            raise ConfigError(f"{ENV_PREFIX}THREADS: {exc}") from exc
-    if threads is None:
-        threads = os.cpu_count() or 1
+        scenario = replace(file_cfg.to_scenario(),
+                           **{k: v for k, v in flags.items() if v is not None})
+    except ValueError as exc:  # e.g. a birth sigma of the wrong length, or --runs 0
+        raise ConfigError(f"invalid configuration: {exc}") from exc
+    threads = args.threads if args.threads is not None else os.cpu_count() or 1
     if threads < 1:
         raise ConfigError("threads: must be >= 1")
-    return scenario, out_dir, threads
+    return scenario, args.out_dir or "results", threads
 
 
 def _cmd_run(args) -> int:

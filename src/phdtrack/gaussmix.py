@@ -258,15 +258,28 @@ def eval_gaussian(x: np.ndarray, mean: np.ndarray, cov: np.ndarray) -> float:
     return float(np.exp(-0.5 * (quad + n * np.log(2.0 * np.pi) + log_det)))
 
 
+def select_by_weight(weights: np.ndarray, us: np.ndarray) -> np.ndarray:
+    """The index each u in [0, 1] selects from nonnegative weights of positive sum.
+
+    Among the positive weights only, u picks the first whose cumulative
+    normalized weight reaches u, or the last one if roundoff leaves u
+    beyond the final sum.  A zero weight is never picked, not even by
+    u = 0.  Normalizing by the sum of all weights and skipping the zeros
+    leaves every cumulative sum as it is over all weights, since adding
+    0.0 is exact.
+    """
+    live = np.flatnonzero(weights > 0)
+    cum = np.cumsum(weights[live] / np.sum(weights))
+    return live[np.minimum(np.searchsorted(cum, us, side="left"), live.size - 1)]
+
+
 def sample_mixture(mixture: GaussianMixture, count: int, rng: np.random.Generator) -> np.ndarray:
     """Draw `count` i.i.d. samples from a Gaussian mixture.
 
-    Per sample: draw u ~ U(0, 1), pick the first component whose
-    cumulative normalized weight reaches u (the last one if roundoff
-    leaves u beyond the final sum), then draw from that component's
-    Gaussian via a Cholesky factor.  Returns (count, dim).  Components
-    with zero weight are never selected.  A factorization failure is an
-    error, not a silent repair.
+    Per sample: draw u ~ U(0, 1), pick a component by select_by_weight,
+    then draw from that component's Gaussian via a Cholesky factor.
+    Returns (count, dim).  Components with zero weight are never
+    selected.  A factorization failure is an error, not a silent repair.
     """
     return sample_mixture_indexed(mixture, count, rng)[1]
 
@@ -279,12 +292,9 @@ def sample_mixture_indexed(mixture: GaussianMixture, count: int,
     n = mixture.dim
     if count == 0:
         return np.zeros(0, dtype=int), np.zeros((0, n))
-    total = mixture.mass
-    if total <= 0:
+    if mixture.mass <= 0:
         raise ValueError("cannot sample from a mixture with zero mass")
-    cum = np.cumsum(mixture.weights / total)
-    us = rng.random(count)
-    idx = np.minimum(np.searchsorted(cum, us, side="left"), len(mixture) - 1)
+    idx = select_by_weight(mixture.weights, rng.random(count))
     z = rng.standard_normal((count, n))
     used = np.unique(idx)
     try:

@@ -77,7 +77,12 @@ def wrap_angle(theta):
 
 @dataclass(frozen=True)
 class MotionModel:
-    """Constant-velocity motion with optional process noise."""
+    """Constant-velocity motion with optional process noise.
+
+    dt is the one step length of a run: the truth and every filter
+    advance by it.  The process noise is checked by check_covariances,
+    as every covariance the package accepts.
+    """
 
     dt: float = 1.0
     process_noise: np.ndarray = field(default_factory=lambda: dwna_process_noise(1.0, 0.05))
@@ -89,10 +94,7 @@ class MotionModel:
             raise ValueError(f"dt must be > 0, got {self.dt}")
         if q.shape != (STATE_DIM, STATE_DIM):
             raise ValueError(f"process noise must be {STATE_DIM}x{STATE_DIM}, got {q.shape}")
-        if np.abs(q - q.T).max(initial=0.0) > 1e-12:
-            raise ValueError("process noise must be symmetric")
-        if np.linalg.eigvalsh(q)[0] < -1e-12:
-            raise ValueError("process noise must be PSD")
+        check_covariances(q[None])
 
     @property
     def transition(self) -> np.ndarray:
@@ -245,10 +247,8 @@ class BirthModel:
 class ClutterModel:
     """Poisson clutter: uniform in a Cartesian box, observed through the radar map.
 
-    kappa is the clutter intensity in Cartesian space, rate * density per
-    unit box volume.  density must be the reciprocal of the box volume;
-    that product is checked at construction.  The correctors need the
-    intensity in measurement space instead; `intensity` supplies it per
+    The box density is 1/volume, so the region fixes it.  The correctors
+    need the intensity in measurement space; `intensity` supplies it per
     measurement by the change of variables through the measurement map.
     kappa_override substitutes a constant measurement-space intensity in
     the update without changing how clutter is generated.
@@ -257,7 +257,6 @@ class ClutterModel:
     rate: float = 10.0
     region: np.ndarray = field(
         default_factory=lambda: np.array([[0.0, 200.0], [0.0, 200.0], [0.0, 400.0]]))
-    density: float = 6.25e-8
     kappa_override: float | None = None
 
     def __post_init__(self):
@@ -267,32 +266,26 @@ class ClutterModel:
             raise ValueError("clutter rate must be >= 0")
         if region.shape != (3, 2) or np.any(region[:, 1] <= region[:, 0]):
             raise ValueError("clutter region must be a proper 3-D box")
-        volume = float(np.prod(region[:, 1] - region[:, 0]))
-        if abs(self.density * volume - 1.0) > 1e-12:
-            raise ValueError(
-                f"clutter density {self.density} is not 1/volume ({1.0 / volume}) of the region")
-
-    @property
-    def kappa(self) -> float:
-        if self.kappa_override is not None:
-            return self.kappa_override
-        return self.rate * self.density
 
     def intensity(self, z: np.ndarray, measurement) -> np.ndarray:
         """Clutter intensity kappa(z) in measurement space at each row of z, shape (M,).
 
         Box clutter is mapped through the measurement model without noise,
-        so kappa(z) = rate * density * |det d(position)/dz| where the
+        so kappa(z) = rate / volume * |det d(position)/dz| where the
         position that measures as z lies in the box, and 0 elsewhere: for
-        the radar that is rate * density * range**2 * cos(elevation).
+        the radar that is rate / volume * range**2 * cos(elevation).
         With kappa_override set, that constant is returned everywhere.
         """
         z = np.asarray(z, dtype=float)
         if self.kappa_override is not None:
             return np.full(z.shape[0], float(self.kappa_override))
         pos = measurement.position(z)
-        inside = np.all((pos >= self.region[:, 0]) & (pos <= self.region[:, 1]), axis=-1)
-        return np.where(inside, self.rate * self.density * measurement.volume_element(z), 0.0)
+        lo, hi = self.region[:, 0], self.region[:, 1]
+        inside = np.all((pos >= lo) & (pos <= hi), axis=-1)
+        # rate times the box density 1/volume, the product the seeded
+        # outputs were recorded with (rate / volume can differ in the last bit)
+        density = 1.0 / float(np.prod(hi - lo))
+        return np.where(inside, self.rate * density * measurement.volume_element(z), 0.0)
 
 
 @dataclass(frozen=True)

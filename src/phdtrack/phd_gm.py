@@ -27,21 +27,21 @@ MERGE_BLOCK = 32
 
 @dataclass(frozen=True)
 class GmPhdConfig:
-    """Mixture management knobs: pruning, merging, capping, extraction."""
+    """Mixture management knobs: pruning, merging, capping.
+
+    Extraction has no knobs: gm_extract takes the round(mass) heaviest
+    components, the cardinality rule of every filter.
+    """
 
     prune_threshold: float = 1e-5
     merge_threshold: float = 4.0
     max_components: int = 250
-    extraction: str = "top-n"
-    extraction_threshold: float = 0.5
 
     def __post_init__(self):
         if self.prune_threshold < 0 or self.merge_threshold < 0:
             raise ValueError("thresholds must be >= 0")
         if self.max_components < 1:
             raise ValueError("max_components must be >= 1")
-        if self.extraction not in ("top-n", "threshold"):
-            raise ValueError(f"unknown extraction mode: {self.extraction!r}")
 
 
 def gm_predict(posterior: GaussianMixture, models: "_models.Models",
@@ -228,18 +228,13 @@ def prune_merge_cap(mixture: GaussianMixture, config: GmPhdConfig) -> GaussianMi
     return GaussianMixture._assemble(w, m, p)
 
 
-def gm_extract(mixture: GaussianMixture,
-               config: GmPhdConfig) -> tuple[int, np.ndarray]:
+def gm_extract(mixture: GaussianMixture) -> tuple[int, np.ndarray]:
     """State estimates from the managed mixture.
 
-    In top-n mode the cardinality estimate is the mass rounded half-up and
-    the estimates are the means of that many heaviest components (ties
-    broken by position).  In threshold mode every component heavier than
-    extraction_threshold is reported.
+    The cardinality estimate is the mass rounded half-up and the estimates
+    are the means of that many heaviest components (ties broken by
+    position).
     """
-    if config.extraction == "threshold":
-        sel = mixture.weights > config.extraction_threshold
-        return int(sel.sum()), mixture.means[sel].copy()
     n_hat = int(np.floor(mixture.mass + 0.5))
     if n_hat <= 0:
         return max(n_hat, 0), np.zeros((0, mixture.dim))

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import models as _models
+from .gaussmix import select_by_weight
 
 
 @dataclass(frozen=True)
@@ -124,13 +125,10 @@ def smc_resample(updated: ParticleSet, count: int, rng: np.random.Generator,
         raise ValueError("cannot resample a particle set with zero mass")
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
-    probs = updated.weights / mass
     if method == "multinomial":
-        idx = rng.choice(len(updated), size=count, p=probs)
+        idx = rng.choice(len(updated), size=count, p=updated.weights / mass)
     elif method == "systematic":
-        positions = (rng.random() + np.arange(count)) / count
-        idx = np.searchsorted(np.cumsum(probs), positions, side="left")
-        idx = np.minimum(idx, len(updated) - 1)
+        idx = select_by_weight(updated.weights, (rng.random() + np.arange(count)) / count)
     else:
         raise ValueError(f"unknown resampling method: {method!r}")
     return ParticleSet(updated.states[idx], np.full(count, mass / count))

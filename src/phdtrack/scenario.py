@@ -41,12 +41,14 @@ def _default_targets() -> np.ndarray:
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """Everything needed to reproduce one experiment."""
+    """Everything needed to reproduce one experiment.
+
+    A run covers t in [0, t_end] in steps of models.motion.dt, the step
+    the filters predict over, so truth and filters share one clock.
+    """
 
     initial_targets: np.ndarray = field(default_factory=_default_targets)
-    t_start: float = 0.0
     t_end: float = 100.0
-    dt: float = 1.0
     models: _models.Models = field(default_factory=_models.Models)
     filter_kind: str = "engm"
     gm: GmPhdConfig = field(default_factory=GmPhdConfig)
@@ -62,8 +64,8 @@ class ScenarioConfig:
                            np.atleast_2d(np.asarray(self.initial_targets, dtype=float)))
         if self.filter_kind not in FILTER_KINDS:
             raise ValueError(f"filter_kind must be one of {FILTER_KINDS}, got {self.filter_kind!r}")
-        if self.t_end < self.t_start or self.dt <= 0:
-            raise ValueError("need t_end >= t_start and dt > 0")
+        if self.t_end < 0:
+            raise ValueError("need t_end >= 0")
         if self.budget < 1:
             raise ValueError("budget must be >= 1")
         if self.runs < 1:
@@ -71,7 +73,7 @@ class ScenarioConfig:
 
     @property
     def n_steps(self) -> int:
-        return int(round((self.t_end - self.t_start) / self.dt))
+        return int(round(self.t_end / self.models.motion.dt))
 
 
 @dataclass
@@ -119,7 +121,7 @@ def simulate_truth(config: ScenarioConfig) -> np.ndarray:
     steps = config.n_steps
     out = np.empty((steps + 1, x0.shape[0], x0.shape[1]))
     for k in range(steps + 1):
-        t = k * config.dt
+        t = k * config.models.motion.dt
         out[k, :, :3] = x0[:, :3] + t * x0[:, 3:]
         out[k, :, 3:] = x0[:, 3:]
     return out
@@ -156,7 +158,7 @@ class _GmStepper:
         predicted = gm_predict(self.mixture, cfg.models, rng)
         corrected = gm_update(predicted, scan, cfg.models)
         self.mixture = prune_merge_cap(corrected, cfg.gm)
-        n_hat, states = gm_extract(self.mixture, cfg.gm)
+        n_hat, states = gm_extract(self.mixture)
         return n_hat, states, len(self.mixture)
 
 
@@ -268,23 +270,22 @@ def _run_one(config: ScenarioConfig, run_index: int) -> RunRecord:
         return RunRecord(run_index, run_config.seed, config.filter_kind, [], error=str(exc))
 
 
-def run_monte_carlo(config: ScenarioConfig, n_runs: int | None = None,
+def run_monte_carlo(config: ScenarioConfig,
                     threads: int = 1) -> tuple[MonteCarloSummary, list[RunRecord]]:
-    """Repeat run_filter over n_runs seeds and average the step records.
+    """Repeat run_filter over config.runs seeds and average the step records.
 
     Failed runs are kept in the returned records with their error message
     but excluded from every mean.  Results do not depend on threads; runs
     are independent and merged in run order.
     """
-    n_runs = config.runs if n_runs is None else n_runs
     started = time.perf_counter()
     if threads > 1:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=threads) as pool:
-            records = list(pool.map(_run_one, [config] * n_runs, range(n_runs)))
+            records = list(pool.map(_run_one, [config] * config.runs, range(config.runs)))
     else:
-        records = [_run_one(config, r) for r in range(n_runs)]
+        records = [_run_one(config, r) for r in range(config.runs)]
     total_wall = time.perf_counter() - started
     good = [r for r in records if not r.failed]
     ks = np.arange(1, config.n_steps + 1)
@@ -301,12 +302,12 @@ def run_monte_carlo(config: ScenarioConfig, n_runs: int | None = None,
             mean_n_hat=per_step("n_hat"),
             mean_n_components=per_step("n_components"),
             mean_wall_time=per_step("wall_time"),
-            runs=n_runs,
+            runs=config.runs,
             failures=len(records) - len(good),
             total_wall_time=total_wall,
         )
     else:
         nan = np.full(ks.shape, np.nan)
         summary = MonteCarloSummary(config.filter_kind, ks, nan, nan, nan, nan, nan, nan,
-                                    n_runs, n_runs, total_wall)
+                                    config.runs, config.runs, total_wall)
     return summary, records

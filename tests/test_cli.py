@@ -47,7 +47,6 @@ DEFAULT_CONFIG_TEXT = (
     "filter = engm\n"
     "runs = 25\n"
     "seed = 0\n"
-    "t_start = 0.0\n"
     "t_end = 100.0\n"
     "dt = 1.0\n"
     "budget = 250\n"
@@ -80,7 +79,6 @@ DEFAULT_CONFIG_TEXT = (
     "y_max = 200.0\n"
     "z_min = 0.0\n"
     "z_max = 400.0\n"
-    "density = 6.25e-08\n"
     "kappa_override = \n"
     "\n"
     "[detection]\n"
@@ -91,8 +89,6 @@ DEFAULT_CONFIG_TEXT = (
     "prune_threshold = 1e-05\n"
     "merge_threshold = 4.0\n"
     "max_components = 250\n"
-    "extraction = top-n\n"
-    "extraction_threshold = 0.5\n"
     "\n"
     "[ospa]\n"
     "cutoff = 100.0\n"
@@ -112,7 +108,6 @@ ONE_KEY_CASES = [
     ("scenario", "filter", "gm", "filter", "gm"),
     ("scenario", "runs", "7", "runs", 7),
     ("scenario", "seed", "123", "seed", 123),
-    ("scenario", "t_start", "1.5", "t_start", 1.5),
     ("scenario", "t_end", "50", "t_end", 50.0),
     ("scenario", "dt", "0.5", "dt", 0.5),
     ("scenario", "budget", "100", "budget", 100),
@@ -135,15 +130,12 @@ ONE_KEY_CASES = [
     ("clutter", "y_max", "250.0", "y_max", 250.0),
     ("clutter", "z_min", "-3.0", "z_min", -3.0),
     ("clutter", "z_max", "500.0", "z_max", 500.0),
-    ("clutter", "density", "1e-7", "density", 1e-7),
     ("clutter", "kappa_override", "2.5e-3", "kappa_override", 2.5e-3),
     ("detection", "p_detect", "0.9", "p_detect", 0.9),
     ("detection", "p_survive", "0.95", "p_survive", 0.95),
     ("gm", "prune_threshold", "1e-4", "prune_threshold", 1e-4),
     ("gm", "merge_threshold", "9.0", "merge_threshold", 9.0),
     ("gm", "max_components", "50", "max_components", 50),
-    ("gm", "extraction", "threshold", "extraction", "threshold"),
-    ("gm", "extraction_threshold", "0.7", "extraction_threshold", 0.7),
     ("ospa", "cutoff", "50.0", "ospa_cutoff", 50.0),
     ("ospa", "order", "1.0", "ospa_order", 1.0),
 ]
@@ -218,6 +210,11 @@ def test_parse_rejects_unknown_sections_and_keys():
         parse_config_text("[targets]\nrogue = 1,2,3,4,5,6\n")
     with pytest.raises(ConfigError):
         parse_config_text("not an ini file [[[")
+    # keys that repeated another setting; a file that still holds one is rejected
+    for section, key, text in (("scenario", "t_start", "0.0"), ("clutter", "density", "6.25e-08"),
+                               ("gm", "extraction", "top-n"), ("gm", "extraction_threshold", "0.5")):
+        with pytest.raises(ConfigError, match=f"unknown key {section}.{key}"):
+            parse_config_text(f"[{section}]\n{key} = {text}\n")
 
 
 def test_to_scenario_wiring():
@@ -234,7 +231,7 @@ def test_to_scenario_wiring():
     meas = scenario.models.measurement
     assert meas.sigmas[1] == pytest.approx(np.deg2rad(1.0))
     assert meas.sigmas[2] == pytest.approx(np.deg2rad(0.5))
-    assert scenario.models.clutter.kappa == pytest.approx(9e-4)
+    assert scenario.models.clutter.kappa_override == 9e-4
     birth = scenario.models.birth
     assert birth.cov == pytest.approx(np.diag(np.array([50.0, 50, 50, 5, 5, 5]) ** 2))
     assert scenario.models.clutter.region[2, 1] == 400.0
@@ -242,7 +239,10 @@ def test_to_scenario_wiring():
 
 def test_default_kappa_through_config():
     scenario = FileConfig().to_scenario()
-    assert scenario.models.clutter.kappa == pytest.approx(6.25e-7, rel=1e-12)
+    meas = scenario.models.measurement
+    z = meas.measure(np.array([[120.0, 80.0, 150.0]]))
+    expected = 10.0 / (200.0 * 200.0 * 400.0) * z[:, 0] ** 2 * np.cos(z[:, 2])
+    assert scenario.models.clutter.intensity(z, meas) == pytest.approx(expected, rel=1e-12)
     assert scenario.budget == 250
 
 
@@ -318,30 +318,20 @@ def test_cli_flags_override_config(tmp_path):
     assert meta["filters"] == ["smc"]
 
 
-def test_environment_overrides(tmp_path, monkeypatch):
-    config = write_config(tmp_path, t_end=3.0, runs=4, budget=30)
-    out_dir = tmp_path / "env-results"
-    monkeypatch.setenv("PHDTRACK_CONFIG", config)
-    monkeypatch.setenv("PHDTRACK_FILTER", "smc")
-    monkeypatch.setenv("PHDTRACK_RUNS", "1")
+def test_flags_beat_environment(tmp_path, monkeypatch, capsys):
+    # precedence is flag, then file: a PHDTRACK_* variable changes nothing
+    config = write_config(tmp_path, t_end=3.0, runs=4, budget=30, seed=2)
     monkeypatch.setenv("PHDTRACK_SEED", "5")
-    monkeypatch.setenv("PHDTRACK_OUT_DIR", str(out_dir))
-    monkeypatch.setenv("PHDTRACK_THREADS", "1")
-    assert main(["run"]) == 0
-    meta = json.loads((out_dir / "meta.json").read_text(encoding="utf-8"))
-    assert meta["runs"] == 1
-    assert meta["seed"] == 5
-    assert meta["filters"] == ["smc"]
-
-
-def test_flags_beat_environment(tmp_path, monkeypatch):
-    config = write_config(tmp_path, t_end=3.0, runs=4, budget=30)
-    monkeypatch.setenv("PHDTRACK_SEED", "5")
-    out_dir = tmp_path / "beat"
-    assert main(["run", "--filter", "smc", "--config", config, "--runs", "1",
-                 "--seed", "8", "--out-dir", str(out_dir), "--threads", "1"]) == 0
-    meta = json.loads((out_dir / "meta.json").read_text(encoding="utf-8"))
-    assert meta["seed"] == 8
+    for flags, seed in ((["--seed", "8"], 8), ([], 2)):
+        out_dir = tmp_path / f"seed{seed}"
+        assert main(["run", "--filter", "smc", "--config", config, "--runs", "1",
+                     "--out-dir", str(out_dir), "--threads", "1"] + flags) == 0
+        meta = json.loads((out_dir / "meta.json").read_text(encoding="utf-8"))
+        assert meta["seed"] == seed
+    capsys.readouterr()
+    with pytest.raises(SystemExit):
+        main(["--help"])
+    assert "PHDTRACK_" not in capsys.readouterr().out
 
 
 def test_config_errors_exit_code(tmp_path):
@@ -353,19 +343,14 @@ def test_config_errors_exit_code(tmp_path):
     # values that parse but that a model rejects
     bad.write_text("[birth]\nsigma = 1, 2, 3\n", encoding="utf-8")
     assert main(["run", "--filter", "smc", "--config", str(bad)]) == 1
+    # a flag value that the scenario rejects
+    assert main(["run", "--filter", "smc", "--runs", "0"]) == 1
     with pytest.raises(SystemExit) as exc:
         main(["run", "--filter", "bogus"])
     assert exc.value.code == 1
     with pytest.raises(SystemExit) as exc:
         main(["teleport"])
     assert exc.value.code == 1
-
-
-def test_bad_environment_value(tmp_path, monkeypatch):
-    config = write_config(tmp_path, t_end=3.0, runs=1, budget=30)
-    monkeypatch.setenv("PHDTRACK_RUNS", "many")
-    assert main(["run", "--filter", "smc", "--config", config,
-                 "--out-dir", str(tmp_path / "x"), "--threads", "1"]) == 1
 
 
 def test_run_deterministic_outputs(tmp_path):

@@ -387,6 +387,11 @@ def test_selection_rule_hand_walk():
 def test_selection_rule_ignores_scale_and_zero_weights():
     # cumulative normalized weights are 0, 0.25, 0.25, 1.0
     assert selected([0.0, 2.0, 0.0, 6.0], [0.1, 0.25, 0.26, 0.9, 1.0]) == [1, 1, 3, 3, 3]
+    # u = 0 reaches the zero cumulative weight of a leading zero, and u
+    # beyond the final sum (0.9999999999999999 here) meets the clamp to
+    # the last index; neither may pick a component of zero weight
+    assert selected([0.0, 2.0, 0.0, 6.0], [0.0, 0.0, 0.0]) == [1, 1, 1]
+    assert selected(list(np.full(10, 0.1)) + [0.0], [1.0]) == [9]
     with pytest.raises(ValueError, match="zero mass"):
         selected(np.zeros(3), [0.5])
 

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from phdtrack.gaussmix import SYMMETRY_TOL
 from phdtrack.models import (
     BirthModel,
     ClutterModel,
@@ -85,6 +86,15 @@ def test_motion_model_validation():
         MotionModel(dt=0.0)
     with pytest.raises(ValueError):
         MotionModel(process_noise=np.eye(3))
+    # the process noise follows the package's one covariance rule
+    q = dwna_process_noise(1.0, 0.05)
+    skew = np.zeros((6, 6))
+    skew[0, 3] = 1.0
+    MotionModel(process_noise=q + 0.5 * SYMMETRY_TOL * skew)
+    with pytest.raises(ValueError, match="symmetric"):
+        MotionModel(process_noise=q + 1e-3 * skew)
+    with pytest.raises(ValueError, match="PSD"):
+        MotionModel(process_noise=-np.eye(6))
 
 
 # ---------------------------------------------------------------------------
@@ -204,15 +214,20 @@ def test_sample_birth_states_moments():
 def test_clutter_model_kappa():
     clutter = ClutterModel()
     assert clutter.rate == 10.0
-    assert clutter.kappa == pytest.approx(6.25e-7, rel=1e-12)
-    assert ClutterModel(kappa_override=1e-3).kappa == 1e-3
+    assert clutter.kappa_override is None
+    z = np.array([[1.0, 0.2, 0.3]])
+    assert ClutterModel(kappa_override=1e-3).intensity(z, RadarMeasurementModel()) == [1e-3]
     with pytest.raises(ValueError):
         ClutterModel(rate=-1.0)
     with pytest.raises(ValueError):
-        # density must be the reciprocal of the box volume
-        ClutterModel(density=1e-6)
-    region = np.array([[0.0, 10.0], [0.0, 10.0], [0.0, 10.0]])
-    assert ClutterModel(rate=5.0, region=region, density=1e-3).kappa == pytest.approx(5e-3)
+        ClutterModel(region=np.array([[0.0, 10.0], [0.0, 10.0], [5.0, 5.0]]))
+    # the region alone fixes the density, 1/volume
+    region = np.array([[0.0, 100.0], [0.0, 100.0], [0.0, 100.0]])
+    meas = RadarMeasurementModel()
+    z = meas.measure(np.array([[30.0, 40.0, 50.0]]))
+    expected = 5.0 / 100.0 ** 3 * z[:, 0] ** 2 * np.cos(z[:, 2])
+    got = ClutterModel(rate=5.0, region=region).intensity(z, meas)
+    assert got == pytest.approx(expected, rel=1e-12)
 
 
 def test_clutter_intensity_radar_interior_value():
@@ -326,5 +341,6 @@ def test_models_bundle_defaults():
     models = Models()
     assert isinstance(models.measurement, RadarMeasurementModel)
     assert models.birth.mass_per_step == pytest.approx(0.1)
-    assert models.clutter.kappa == pytest.approx(6.25e-7)
+    assert models.clutter.kappa_override is None
+    assert models.clutter.region[:, 1] == pytest.approx([200.0, 200.0, 400.0])
     assert models.motion.dt == 1.0

@@ -607,38 +607,24 @@ def test_cap_keeps_heaviest_and_rescales():
 
 
 def test_extract_top_n():
-    config = GmPhdConfig()
     mix = GaussianMixture(
         np.array([0.9, 0.8, 0.4]),
         np.array([[1.0] * 6, [2.0] * 6, [3.0] * 6]),
         np.broadcast_to(np.eye(6), (3, 6, 6)).copy(),
     )
-    n_hat, states = gm_extract(mix, config)
+    n_hat, states = gm_extract(mix)
     # mass 2.1 rounds to 2: the two heaviest means
     assert n_hat == 2
     assert states == pytest.approx(mix.means[:2])
 
 
-def test_extract_threshold_mode():
-    config = GmPhdConfig(extraction="threshold", extraction_threshold=0.5)
-    mix = GaussianMixture(
-        np.array([0.9, 0.3, 0.7]),
-        np.array([[1.0] * 6, [2.0] * 6, [3.0] * 6]),
-        np.broadcast_to(np.eye(6), (3, 6, 6)).copy(),
-    )
-    n_hat, states = gm_extract(mix, config)
-    assert n_hat == 2
-    assert states == pytest.approx(mix.means[[0, 2]])
-
-
 def test_extract_zero_mass():
-    config = GmPhdConfig()
-    n_hat, states = gm_extract(GaussianMixture.empty(6), config)
+    n_hat, states = gm_extract(GaussianMixture.empty(6))
     assert n_hat == 0
     assert states.shape == (0, 6)
     light = GaussianMixture(np.array([0.2]), np.zeros((1, 6)),
                             np.broadcast_to(np.eye(6), (1, 6, 6)).copy())
-    n_hat, states = gm_extract(light, config)
+    n_hat, states = gm_extract(light)
     assert n_hat == 0
     assert states.shape == (0, 6)
 
@@ -648,8 +634,6 @@ def test_config_validation():
         GmPhdConfig(prune_threshold=-1.0)
     with pytest.raises(ValueError):
         GmPhdConfig(max_components=0)
-    with pytest.raises(ValueError):
-        GmPhdConfig(extraction="middle-out")
 
 
 def test_radar_update_smoke():

@@ -77,7 +77,8 @@ def test_predict_mass_and_layout():
 
 def test_update_single_particle_hand_value():
     models = linear_models(p_detect=0.9, clutter_rate=10.0)
-    kappa = models.clutter.kappa
+    # the linear map is the identity on position, so kappa(z) = rate/volume
+    kappa = 10.0 / (200.0 * 200.0 * 400.0)
     x = np.array([50.0, 60.0, 70.0, 0.0, 0.0, 0.0])
     w = 0.8
     cloud = ParticleSet(x[None], np.array([w]))
@@ -185,6 +186,16 @@ def test_resample_upsamples():
     assert out.mass == pytest.approx(1.0, rel=1e-12)
 
 
+class FixedUniform:
+    """A generator stub whose one uniform draw is u."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self):
+        return self.u
+
+
 def test_systematic_resampling_is_stratified():
     # equal weights and count == J: systematic resampling keeps each
     # particle exactly once regardless of the rng draw
@@ -192,6 +203,15 @@ def test_systematic_resampling_is_stratified():
     cloud = ParticleSet(states, np.full(5, 0.2))
     out = smc_resample(cloud, 5, np.random.default_rng(9), "systematic")
     assert np.array_equal(np.sort(out.states[:, 0]), states[:, 0])
+    # a first position of 0 and one beyond the final cumulative weight
+    # (0.35/1.08 + 0.73/1.08 = 0.9999999999999998) must still skip the
+    # zero weights
+    for weights, u, count in (([0.0, 1.0, 0.0, 1.0], 0.0, 4),
+                              ([0.35, 0.73, 0.0], np.nextafter(1.0, 0.0), 1)):
+        cloud = ParticleSet(states[:len(weights)], np.array(weights))
+        out = smc_resample(cloud, count, FixedUniform(u), "systematic")
+        picked = np.flatnonzero(np.isin(states[:, 0], out.states[:, 0]))
+        assert np.all(cloud.weights[picked] > 0)
 
 
 def test_resample_rejects_bad_input():

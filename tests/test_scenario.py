@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 
 from phdtrack.gaussmix import GaussianMixture
-from phdtrack.models import ClutterModel, DetectionSurvival, Models
+from phdtrack.models import (
+    ClutterModel,
+    DetectionSurvival,
+    Models,
+    MotionModel,
+    dwna_process_noise,
+)
 from phdtrack.scenario import (
     FilterNumericalError,
     RunRecord,
@@ -38,8 +44,6 @@ def test_config_validation():
     with pytest.raises(ValueError):
         ScenarioConfig(filter_kind="ukf")
     with pytest.raises(ValueError):
-        ScenarioConfig(dt=0.0)
-    with pytest.raises(ValueError):
         ScenarioConfig(t_end=-1.0)
     with pytest.raises(ValueError):
         ScenarioConfig(budget=0)
@@ -59,6 +63,13 @@ def test_simulate_truth_closed_form():
     # the two targets cross near mid-run and the z coordinates climb
     assert truth[50, 0, :2] == pytest.approx(truth[50, 1, :2], abs=1e-9)
     assert truth[100, 0, 2] == pytest.approx(250.0)
+    # the filters predict over models.motion.dt, so the truth steps by it too
+    motion = MotionModel(dt=2.0, process_noise=dwna_process_noise(2.0, 0.05))
+    config = ScenarioConfig(models=Models(motion=motion), t_end=30.0)
+    assert config.n_steps == 15
+    truth = simulate_truth(config)
+    for k in (1, 7, 15):
+        assert truth[k, :, :3] == pytest.approx(x0[:, :3] + 2.0 * k * x0[:, 3:], rel=1e-15)
 
 
 def test_generate_scan_detection_only():
