@@ -158,7 +158,8 @@ def prune_merge_cap(mixture: GaussianMixture, config: GmPhdConfig) -> GaussianMi
     """Contain mixture growth without changing total mass.
 
     Components below the prune threshold are dropped (keeping at least the
-    single heaviest one so the filter never goes dark).  Surviving
+    single heaviest one so the filter never goes dark); a mixture of zero
+    mass is reduced to that component, unchanged.  Surviving
     components are merged greedily: the heaviest remaining component seeds
     a cluster of everything within the merge threshold, measured as
     squared Mahalanobis distance in the seed's covariance, and the cluster
@@ -173,6 +174,11 @@ def prune_merge_cap(mixture: GaussianMixture, config: GmPhdConfig) -> GaussianMi
     if len(mixture) == 0:
         return mixture
     pre_mass = mixture.mass
+    if pre_mass <= 0:
+        # nothing to merge or rescale, and a moment match of zero weight is 0/0
+        top = [int(np.argmax(mixture.weights))]
+        return GaussianMixture._assemble(mixture.weights[top], mixture.means[top],
+                                         mixture.covs[top])
     keep = mixture.weights >= config.prune_threshold
     if not np.any(keep):
         keep = np.zeros(len(mixture), dtype=bool)

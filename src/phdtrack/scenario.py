@@ -196,7 +196,13 @@ class _EngmStepper:
         cfg = self.config
         predicted = engm_predict(self.state, cfg.models, rng)
         corrected = engm_update(predicted, scan, cfg.models)
-        self.state = engm_resample(corrected, cfg.budget, rng)
+        if corrected.mass > 0:
+            self.state = engm_resample(corrected, cfg.budget, rng)
+        else:
+            # dark filter: keep the cloud at zero mass and let births reseed it
+            self.state = EngmPhdState(
+                ParticleSet(self.state.particles.states, np.zeros(cfg.budget)),
+                cfg.budget, self.state.parts)
         n_hat, states = engm_extract(corrected)
         return n_hat, states, self.state.particle_count
 

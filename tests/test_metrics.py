@@ -1,10 +1,18 @@
 """Assignment solver and OSPA distance."""
 
 import itertools
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+from scipy.optimize import linear_sum_assignment
 
+import phdtrack
 from phdtrack.metrics import OspaParams, assignment_min_cost, ospa
 
 
@@ -48,6 +56,36 @@ def test_assignment_rectangular():
     tall = rng.uniform(0.0, 5.0, size=(6, 3))
     _, total_tall = assignment_min_cost(tall)
     assert total_tall == pytest.approx(brute_force_min(tall), abs=1e-12)
+
+
+# OSPA's entries: distances, some saturated at the cutoff, plus integer ties and zeros
+COST_ENTRIES = st.one_of(st.floats(-1e3, 1e3), st.integers(0, 3).map(float), st.just(0.0))
+
+
+@settings(max_examples=400, deadline=None)
+@given(shape=st.tuples(st.integers(1, 8), st.integers(1, 8)), data=st.data(),
+       cutoff=st.sampled_from([0.5, 2.0, 50.0, np.inf]), order=st.sampled_from([1.0, 2.0]))
+def test_assignment_matches_scipy(shape, data, cutoff, order):
+    raw = data.draw(arrays(float, shape, elements=COST_ENTRIES))
+    cost = np.sign(raw) * np.minimum(np.abs(raw), cutoff) ** order
+    pairs, total = assignment_min_cost(cost)
+    rows, cols = linear_sum_assignment(cost)
+    assert total == pytest.approx(float(cost[rows, cols].sum()), rel=1e-12, abs=1e-12)
+    assert pairs.shape == (min(shape), 2)
+    assert np.all(np.diff(pairs[:, 0]) > 0)
+    assert len(set(pairs[:, 1])) == len(pairs)
+    assert np.all((pairs >= 0) & (pairs < shape))
+    assert total == cost[pairs[:, 0], pairs[:, 1]].sum()
+
+
+def test_import_loads_no_scipy():
+    """A fresh interpreter importing the package and its CLI never loads scipy."""
+    src = str(Path(phdtrack.__file__).resolve().parent.parent)
+    code = (f"import sys; sys.path.insert(0, {src!r}); import phdtrack, phdtrack.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    result = subprocess.run([sys.executable, "-I", "-c", code], capture_output=True, text=True,
+                            check=True, timeout=120)
+    assert result.stdout.strip() == "[]"
 
 
 def test_assignment_input_validation():

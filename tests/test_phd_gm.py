@@ -211,14 +211,19 @@ def test_update_wraps_azimuth_innovation():
 
 
 def likelihood_sums(prior, z, models):
-    """p_D * sum_i w_i N(z; H m_i, H P_i H' + R) for each row of z, written
-    one component at a time, independently of the corrector."""
-    h = models.measurement.matrix
-    r = models.measurement.noise_cov
+    """S(z) = p_D * sum_j w_j N(z; h(m_j), H_j P_j H_j' + R) for each row of z,
+    over the linearizable components, one at a time, independently of the
+    corrector."""
+    meas = models.measurement
+    r = meas.noise_cov
     sums = np.zeros(len(z))
     for w, m, p in zip(prior.weights, prior.means, prior.covs):
+        if not meas.linearizable(m):
+            continue
+        h = meas.jacobian(m)
         s = h @ p @ h.T + r
-        d = z - m @ h.T
+        d = z - meas.measure(m)
+        d[:, meas.angular] = wrap_angle(d[:, meas.angular])
         quad = np.einsum("mi,mi->m", d, np.linalg.solve(s, d.T).T)
         sums += models.detection.p_detect * w * np.exp(-0.5 * quad) / np.sqrt(
             np.linalg.det(2.0 * np.pi * s))
@@ -367,6 +372,23 @@ def test_update_matches_per_measurement_corrector(seed, count, meas_count, p_det
             assert_close_to_scale(g, w)
         for g, w in zip(got.covs[block], want.covs[block]):
             assert_close_to_scale(g, w)
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), count=st.integers(2, 30), meas_count=st.integers(0, 8),
+       p_detect=st.sampled_from([0.0, 0.5, 0.9, 0.98, 1.0]), log_kappa=st.floats(-12.0, 0.0))
+def test_update_mass_ledger(seed, count, meas_count, p_detect, log_kappa):
+    """Corrected mass = (1 - p_D) * prior mass + sum_z S(z) / (kappa(z) + S(z))."""
+    rng = np.random.default_rng(seed)
+    kappa = 10.0 ** log_kappa
+    models = Models(clutter=ClutterModel(kappa_override=kappa),
+                    detection=DetectionSurvival(p_detect=p_detect))
+    prior = radar_prior(rng, count)
+    scan = radar_scan(rng, prior, models.measurement, meas_count)
+    sums = likelihood_sums(prior, scan.values, models)
+    want = (1.0 - p_detect) * prior.mass + np.sum(sums / (kappa + sums))
+    # a mass that underflows to a subnormal keeps no relative precision
+    assert gm_update(prior, scan, models).mass == pytest.approx(want, rel=1e-12, abs=1e-300)
 
 
 def test_prune_drops_light_components_but_keeps_mass():

@@ -12,6 +12,7 @@ from phdtrack.models import (
     dwna_process_noise,
 )
 from phdtrack.scenario import (
+    FILTER_KINDS,
     FilterNumericalError,
     RunRecord,
     ScenarioConfig,
@@ -135,6 +136,16 @@ def test_run_filter_seed_changes_draws():
     a = run_filter(tiny_config())
     b = run_filter(tiny_config(seed=99))
     assert any(not np.array_equal(ra.extracted, rb.extracted) for ra, rb in zip(a, b))
+
+
+@pytest.mark.parametrize("kind", FILTER_KINDS)
+def test_zero_mass_correction_keeps_the_filter_dark(kind):
+    """No targets, no clutter and certain detection: every correction has zero mass."""
+    config = ScenarioConfig(initial_targets=np.zeros((0, 6)), t_end=5.0, filter_kind=kind,
+                            models=Models(clutter=ClutterModel(rate=0.0),
+                                          detection=DetectionSurvival(p_detect=1.0)))
+    records = run_filter(config)
+    assert [(r.n_hat, r.ospa_total) for r in records] == [(0, 0.0)] * 5
 
 
 def test_monte_carlo_mean_matches_hand_aggregate():
