@@ -73,8 +73,6 @@ class FileConfig:
     t_end: float = _in("scenario", default=100.0)
     dt: float = _in("scenario", default=1.0)
     budget: int = _in("scenario", default=250)
-    init_weight: float = _in("scenario", default=1e-16)
-    resample: str = _in("scenario", default="multinomial")
     targets: list = _in("targets", default_factory=lambda: [
         [50.0, 50.0, 50.0, 0.5, 0.5, 2.0],
         [100.0, 100.0, 50.0, -0.5, -0.5, 2.0],
@@ -138,8 +136,6 @@ class FileConfig:
             filter_kind=self.filter,
             gm=GmPhdConfig(self.prune_threshold, self.merge_threshold, self.max_components),
             budget=self.budget,
-            init_weight=self.init_weight,
-            resample_method=self.resample,
             ospa=OspaParams(self.ospa_cutoff, self.ospa_order),
             seed=self.seed,
             runs=self.runs,

@@ -40,21 +40,6 @@ EIG_TOL = -1e-10
 FLOOR_SCALE = 1e-9
 
 
-def floor_covariance(cov: np.ndarray) -> np.ndarray:
-    """Return cov, inflated by eps*I when its smallest eigenvalue is below eps.
-
-    eps = FLOOR_SCALE * (1 + trace(cov)/n) scales with the matrix so that
-    large covariances are floored proportionally.  Well-conditioned input
-    is returned unchanged (same object, no copy).
-    """
-    cov = np.asarray(cov, dtype=float)
-    n = cov.shape[0]
-    eps = FLOOR_SCALE * (1.0 + np.trace(cov) / n)
-    if np.linalg.eigvalsh(cov)[0] < eps:
-        return cov + eps * np.eye(n)
-    return cov
-
-
 def check_covariances(covs: np.ndarray) -> None:
     """Raise ValueError unless every (n, n) matrix in covs is symmetric and PSD.
 
@@ -72,14 +57,16 @@ def check_covariances(covs: np.ndarray) -> None:
 
 
 def floor_covariances(covs: np.ndarray) -> np.ndarray:
-    """Batched floor_covariance over an array of shape (J, n, n).
+    """Inflate by eps*I each (n, n) matrix of covs whose smallest eigenvalue is below eps.
 
-    One batched Cholesky factorization of covs - eps*I shows that every
-    smallest eigenvalue clears its eps, and the input is then returned
-    unchanged (same object, no copy).  Only when that factorization fails
-    are the eigenvalues computed, and just the matrices below their eps
-    are inflated.  The two tests agree except within roundoff of eps,
-    where either answer is exact to working precision.
+    eps = FLOOR_SCALE * (1 + trace(cov)/n) scales with each matrix, so that
+    large covariances are floored proportionally.  One batched Cholesky
+    factorization of covs - eps*I shows that every smallest eigenvalue
+    clears its eps, and the input is then returned unchanged (same object,
+    no copy).  Only when that factorization fails are the eigenvalues
+    computed, and just the matrices below their eps are inflated.  The two
+    tests agree except within roundoff of eps, where either answer is
+    exact to working precision.
     """
     covs = np.asarray(covs, dtype=float)
     if covs.shape[0] == 0:
@@ -94,6 +81,15 @@ def floor_covariances(covs: np.ndarray) -> np.ndarray:
             covs = covs.copy()
             covs[mask] += eps[mask, None, None] * np.eye(n)
     return covs
+
+
+def floor_covariance(cov: np.ndarray) -> np.ndarray:
+    """floor_covariances for one (n, n) matrix.
+
+    A matrix that needs no floor is returned as a view of the input, not
+    a copy.
+    """
+    return floor_covariances(np.asarray(cov, dtype=float)[None])[0]
 
 
 @dataclass(frozen=True)
@@ -234,7 +230,8 @@ def kde_from_particles(states: np.ndarray, mass: float,
     kernels = np.empty((counts.size, n, n))
     for label, count in enumerate(counts):
         base = np.atleast_2d(np.cov(states[inverse == label].T, ddof=1)) if count > n else pooled
-        kernels[label] = floor_covariance(silverman_bandwidth(n, int(count)) * base)
+        kernels[label] = silverman_bandwidth(n, int(count)) * base
+    kernels = floor_covariances(kernels)
     check_covariances(kernels)
     return GaussianMixture._assemble(np.full(j, mass / j), states.copy(), kernels[inverse], parts)
 

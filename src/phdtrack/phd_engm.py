@@ -46,17 +46,14 @@ class EngmPhdState:
     """Posterior carried between steps: a uniformly weighted particle cloud.
 
     parts labels each particle with its part of the intensity; left out,
-    every particle is in part 0.
+    every particle is in part 0.  After a correction of zero mass the
+    cloud is empty: the empty cloud is the zero intensity.
     """
 
     particles: ParticleSet
-    particle_count: int
     parts: np.ndarray | None = None
 
     def __post_init__(self):
-        if len(self.particles) != self.particle_count:
-            raise ValueError(
-                f"state holds {len(self.particles)} particles, expected {self.particle_count}")
         w = self.particles.weights
         if len(w) and w.max() - w.min() > UNIFORMITY_TOL * max(w.max(), 1.0):
             raise ValueError("particle weights must be uniform")
@@ -73,9 +70,9 @@ def engm_predict(state: EngmPhdState, models: "_models.Models",
     Survivors are propagated with process noise and wrapped in a KDE of
     mass p_survive * N in which every part has its own kernel (see
     kde_from_particles).  The birth components, drawn by birth_components
-    as gm_predict draws them, follow as one new part.  With no birth
-    material the survivor KDE is returned alone; with zero survivor mass,
-    the birth components are.  Both pieces had their covariances checked
+    as gm_predict draws them, follow as one new part.  With zero survivor
+    mass the birth components are returned alone; with no births either,
+    that is the empty mixture.  Both pieces had their covariances checked
     where they were computed, so joining them checks nothing new.
     """
     motion = models.motion
@@ -83,8 +80,6 @@ def engm_predict(state: EngmPhdState, models: "_models.Models",
     survivors = _models.propagate_state(cloud.states, motion.dt)
     survivors = survivors + _models.sample_psd_noise(motion.process_noise, len(cloud), rng)
     surviving_mass = models.detection.p_survive * cloud.mass
-    if models.birth.count_per_step == 0 or models.birth.mass_per_step <= 0.0:
-        return kde_from_particles(survivors, surviving_mass, state.parts)
     births = birth_components(models.birth, rng)
     birth_parts = np.full(len(births), int(state.parts.max(initial=-1)) + 1)
     if surviving_mass <= 0.0:
@@ -102,16 +97,17 @@ def engm_resample(posterior: GaussianMixture, count: int,
                   rng: np.random.Generator) -> EngmPhdState:
     """Draw `count` particles from the corrected mixture, uniform weights mass/count.
 
-    Each particle joins the part of the component it was drawn from.
+    Each particle joins the part of the component it was drawn from.  Zero
+    mass is the empty intensity: the result is the empty cloud, and
+    nothing is drawn.  The next prediction's births reseed it.
     """
-    mass = posterior.mass
-    if mass <= 0:
-        raise ValueError("cannot resample a mixture with zero mass")
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
+    mass = posterior.mass
+    if mass <= 0:
+        return EngmPhdState(ParticleSet(np.zeros((0, posterior.dim)), np.zeros(0)))
     idx, states = sample_mixture_indexed(posterior, count, rng)
-    return EngmPhdState(ParticleSet(states, np.full(count, mass / count)), count,
-                        posterior.parts[idx])
+    return EngmPhdState(ParticleSet(states, np.full(count, mass / count)), posterior.parts[idx])
 
 
 def engm_extract(posterior: GaussianMixture) -> tuple[int, np.ndarray]:

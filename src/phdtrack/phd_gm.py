@@ -157,29 +157,26 @@ def gm_update(prior: GaussianMixture, scan: "_models.MeasurementScan",
 def prune_merge_cap(mixture: GaussianMixture, config: GmPhdConfig) -> GaussianMixture:
     """Contain mixture growth without changing total mass.
 
-    Components below the prune threshold are dropped (keeping at least the
-    single heaviest one so the filter never goes dark); a mixture of zero
-    mass is reduced to that component, unchanged.  Surviving
-    components are merged greedily: the heaviest remaining component seeds
-    a cluster of everything within the merge threshold, measured as
-    squared Mahalanobis distance in the seed's covariance, and the cluster
-    is moment-matched.  At most max_components survive, by weight.  All
-    weights are then rescaled so the output mass equals the input mass.
+    A mixture of zero mass is the zero intensity and becomes the empty
+    mixture.  Otherwise components below the prune threshold, and those of
+    zero weight, are dropped, keeping at least the single heaviest one so
+    that the mass survives the rescaling.  Surviving components are merged
+    greedily: the heaviest remaining component seeds a cluster of
+    everything within the merge threshold, measured as squared Mahalanobis
+    distance in the seed's covariance, and the cluster is moment-matched.
+    At most max_components survive, by weight.  All weights are then
+    rescaled so the output mass equals the input mass.
 
     The kept covariances are inverted once, so each of them must be
     invertible, not only the seeds'.  Distances use each seed's inverse and
     are computed in blocks of MERGE_BLOCK (32) candidate seeds, taken in
     stable order of decreasing weight; the greedy order is unchanged.
     """
-    if len(mixture) == 0:
-        return mixture
     pre_mass = mixture.mass
     if pre_mass <= 0:
-        # nothing to merge or rescale, and a moment match of zero weight is 0/0
-        top = [int(np.argmax(mixture.weights))]
-        return GaussianMixture._assemble(mixture.weights[top], mixture.means[top],
-                                         mixture.covs[top])
-    keep = mixture.weights >= config.prune_threshold
+        return GaussianMixture.empty(mixture.dim)
+    # a zero weight is dropped even at threshold 0: its moment match is 0/0
+    keep = (mixture.weights >= config.prune_threshold) & (mixture.weights > 0)
     if not np.any(keep):
         keep = np.zeros(len(mixture), dtype=bool)
         keep[int(np.argmax(mixture.weights))] = True
@@ -228,9 +225,7 @@ def prune_merge_cap(mixture: GaussianMixture, config: GmPhdConfig) -> GaussianMi
         top = np.sort(np.argsort(-w, kind="stable")[:config.max_components])
         w, m, p = w[top], m[top], p[top]
     check_covariances(p)
-    current = w.sum()
-    if current > 0:
-        w = w * (pre_mass / current)
+    w = w * (pre_mass / w.sum())
     return GaussianMixture._assemble(w, m, p)
 
 

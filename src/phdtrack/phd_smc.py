@@ -4,7 +4,8 @@ The intensity is a weighted particle cloud whose total weight is the
 expected target count.  Prediction is a bootstrap step: survivors are
 propagated through the motion model with process noise and reweighted by
 the survival probability, then birth particles are appended.  The update
-reweights particles only; resampling restores the fixed particle budget.
+reweights particles only; resampling restores the fixed particle budget,
+or empties the cloud when the corrected mass is zero.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import models as _models
-from .gaussmix import select_by_weight
 
 
 @dataclass(frozen=True)
@@ -111,26 +111,18 @@ def smc_update(predicted: ParticleSet, scan: "_models.MeasurementScan",
     return ParticleSet(predicted.states, out)
 
 
-def smc_resample(updated: ParticleSet, count: int, rng: np.random.Generator,
-                 method: str = "multinomial") -> ParticleSet:
-    """Resample down/up to `count` particles with uniform weights mass/count.
+def smc_resample(updated: ParticleSet, count: int, rng: np.random.Generator) -> ParticleSet:
+    """Resample multinomially to `count` particles with uniform weights mass/count.
 
-    Multinomial by default; systematic resampling is available behind the
-    method switch.  Zero total mass is an error: the caller decides how to
-    restart (the scenario runner skips resampling and lets the next
-    prediction's births reseed the cloud).
+    Zero total mass is the empty intensity: the result is the empty cloud,
+    and nothing is drawn.  The next prediction's births reseed it.
     """
-    mass = updated.mass
-    if mass <= 0:
-        raise ValueError("cannot resample a particle set with zero mass")
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
-    if method == "multinomial":
-        idx = rng.choice(len(updated), size=count, p=updated.weights / mass)
-    elif method == "systematic":
-        idx = select_by_weight(updated.weights, (rng.random() + np.arange(count)) / count)
-    else:
-        raise ValueError(f"unknown resampling method: {method!r}")
+    mass = updated.mass
+    if mass <= 0:
+        return ParticleSet(np.zeros((0, updated.dim)), np.zeros(0))
+    idx = rng.choice(len(updated), size=count, p=updated.weights / mass)
     return ParticleSet(updated.states[idx], np.full(count, mass / count))
 
 
@@ -189,11 +181,11 @@ def cluster_extract(particles: ParticleSet,
     """State estimates from a uniformly weighted cloud.
 
     The cardinality estimate is the total mass rounded half-up; that many
-    k-means cluster centers are returned as the state estimates.  Zero
-    estimated targets yields an empty state array.
+    k-means cluster centers are returned as the state estimates (every
+    particle when there are fewer).  Zero estimated targets, as from the
+    empty cloud, yields an empty (0, n) state array.
     """
     n_hat = int(np.floor(particles.mass + 0.5))
-    if n_hat <= 0 or len(particles) == 0:
-        return max(n_hat, 0), np.zeros((0, particles.dim if len(particles) else 0))
-    k = min(n_hat, len(particles))
-    return n_hat, kmeans_cluster(particles.states, k, rng)
+    if n_hat == 0:
+        return 0, np.zeros((0, particles.dim))
+    return n_hat, kmeans_cluster(particles.states, n_hat, rng)

@@ -31,6 +31,10 @@ FILTER_KINDS = ("gm", "smc", "engm")
 _SCAN_STREAM = 0
 _FILTER_STREAM = 1
 
+# Mass of the initial intensity, a unit Gaussian at the origin: negligible,
+# so that the births find the targets.
+_INIT_WEIGHT = 1e-16
+
 
 def _default_targets() -> np.ndarray:
     return np.array([
@@ -53,8 +57,6 @@ class ScenarioConfig:
     filter_kind: str = "engm"
     gm: GmPhdConfig = field(default_factory=GmPhdConfig)
     budget: int = 250
-    init_weight: float = 1e-16
-    resample_method: str = "multinomial"
     ospa: OspaParams = field(default_factory=OspaParams)
     seed: int = 0
     runs: int = 25
@@ -148,7 +150,7 @@ class _GmStepper:
         self.config = config
         dim = config.initial_targets.shape[1]
         self.mixture = GaussianMixture(
-            np.array([config.init_weight]),
+            np.array([_INIT_WEIGHT]),
             np.zeros((1, dim)),
             np.eye(dim)[None, :, :],
         )
@@ -167,18 +169,13 @@ class _SmcStepper:
         self.config = config
         dim = config.initial_targets.shape[1]
         states = rng.standard_normal((config.budget, dim))
-        self.particles = ParticleSet(states, np.full(config.budget,
-                                                     config.init_weight / config.budget))
+        self.particles = ParticleSet(states, np.full(config.budget, _INIT_WEIGHT / config.budget))
 
     def step(self, scan, rng):
         cfg = self.config
         predicted = smc_predict(self.particles, cfg.models, rng)
         corrected = smc_update(predicted, scan, cfg.models)
-        if corrected.mass > 0:
-            self.particles = smc_resample(corrected, cfg.budget, rng, cfg.resample_method)
-        else:
-            # dark filter: keep the zero-mass cloud and let births reseed it
-            self.particles = corrected
+        self.particles = smc_resample(corrected, cfg.budget, rng)
         n_hat, states = cluster_extract(self.particles, rng)
         return n_hat, states, len(self.particles)
 
@@ -188,23 +185,16 @@ class _EngmStepper:
         self.config = config
         dim = config.initial_targets.shape[1]
         states = rng.standard_normal((config.budget, dim))
-        cloud = ParticleSet(states, np.full(config.budget,
-                                            config.init_weight / config.budget))
-        self.state = EngmPhdState(cloud, config.budget)
+        self.state = EngmPhdState(ParticleSet(states, np.full(config.budget,
+                                                              _INIT_WEIGHT / config.budget)))
 
     def step(self, scan, rng):
         cfg = self.config
         predicted = engm_predict(self.state, cfg.models, rng)
         corrected = engm_update(predicted, scan, cfg.models)
-        if corrected.mass > 0:
-            self.state = engm_resample(corrected, cfg.budget, rng)
-        else:
-            # dark filter: keep the cloud at zero mass and let births reseed it
-            self.state = EngmPhdState(
-                ParticleSet(self.state.particles.states, np.zeros(cfg.budget)),
-                cfg.budget, self.state.parts)
+        self.state = engm_resample(corrected, cfg.budget, rng)
         n_hat, states = engm_extract(corrected)
-        return n_hat, states, self.state.particle_count
+        return n_hat, states, len(self.state.particles)
 
 
 _STEPPERS = {"gm": _GmStepper, "smc": _SmcStepper, "engm": _EngmStepper}

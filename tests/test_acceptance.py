@@ -39,7 +39,13 @@ from phdtrack.models import (
 from phdtrack.phd_engm import EngmPhdState, engm_predict, engm_resample, engm_update, engmf_step
 from phdtrack.phd_gm import GmPhdConfig, gm_predict, gm_update, prune_merge_cap
 from phdtrack.phd_smc import ParticleSet, smc_predict, smc_resample, smc_update
-from phdtrack.scenario import ScenarioConfig, generate_scan, run_monte_carlo, simulate_truth
+from phdtrack.scenario import (
+    _INIT_WEIGHT,
+    ScenarioConfig,
+    generate_scan,
+    run_monte_carlo,
+    simulate_truth,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -60,7 +66,7 @@ def test_criterion_1_reduction_to_reference_filter():
     states = x_true + np.random.default_rng(3).standard_normal((budget, 6))
     states_b = states.copy()
     states_ref = states.copy()
-    state = EngmPhdState(ParticleSet(states, np.full(budget, 1.0 / budget)), budget)
+    state = EngmPhdState(ParticleSet(states, np.full(budget, 1.0 / budget)))
     worst_particles = 0.0
     worst_weights = 0.0
     worst_means = 0.0
@@ -182,7 +188,7 @@ def test_criterion_3_mass_ledgers():
     # Gaussian-mixture filter
     rng = np.random.default_rng(np.random.SeedSequence([0, 1]))
     rng_scan = np.random.default_rng(np.random.SeedSequence([0, 0]))
-    mixture = GaussianMixture(np.array([config.init_weight]), np.zeros((1, 6)),
+    mixture = GaussianMixture(np.array([_INIT_WEIGHT]), np.zeros((1, 6)),
                               np.eye(6)[None])
     for k in range(1, config.n_steps + 1):
         scan = generate_scan(truth[k], models, rng_scan)
@@ -198,7 +204,7 @@ def test_criterion_3_mass_ledgers():
     rng = np.random.default_rng(np.random.SeedSequence([0, 1]))
     rng_scan = np.random.default_rng(np.random.SeedSequence([0, 0]))
     cloud = ParticleSet(rng.standard_normal((config.budget, 6)),
-                        np.full(config.budget, config.init_weight / config.budget))
+                        np.full(config.budget, _INIT_WEIGHT / config.budget))
     for k in range(1, config.n_steps + 1):
         scan = generate_scan(truth[k], models, rng_scan)
         predicted = smc_predict(cloud, models, rng)
@@ -214,8 +220,7 @@ def test_criterion_3_mass_ledgers():
     rng_scan = np.random.default_rng(np.random.SeedSequence([0, 0]))
     state = EngmPhdState(
         ParticleSet(rng.standard_normal((config.budget, 6)),
-                    np.full(config.budget, config.init_weight / config.budget)),
-        config.budget)
+                    np.full(config.budget, _INIT_WEIGHT / config.budget)))
     for k in range(1, config.n_steps + 1):
         scan = generate_scan(truth[k], models, rng_scan)
         predicted = engm_predict(state, models, rng)

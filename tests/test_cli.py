@@ -50,8 +50,6 @@ DEFAULT_CONFIG_TEXT = (
     "t_end = 100.0\n"
     "dt = 1.0\n"
     "budget = 250\n"
-    "init_weight = 1e-16\n"
-    "resample = multinomial\n"
     "\n"
     "[targets]\n"
     "target_1 = 50.0, 50.0, 50.0, 0.5, 0.5, 2.0\n"
@@ -111,8 +109,6 @@ ONE_KEY_CASES = [
     ("scenario", "t_end", "50", "t_end", 50.0),
     ("scenario", "dt", "0.5", "dt", 0.5),
     ("scenario", "budget", "100", "budget", 100),
-    ("scenario", "init_weight", "1e-10", "init_weight", 1e-10),
-    ("scenario", "resample", "systematic", "resample", "systematic"),
     ("targets", "target_1", "1, 2, 3, 0.1, 0.2, 0.3", "targets",
      [[1.0, 2.0, 3.0, 0.1, 0.2, 0.3]]),
     ("motion", "sigma_accel", "0.1", "sigma_accel", 0.1),
@@ -212,7 +208,9 @@ def test_parse_rejects_unknown_sections_and_keys():
         parse_config_text("not an ini file [[[")
     # keys that repeated another setting; a file that still holds one is rejected
     for section, key, text in (("scenario", "t_start", "0.0"), ("clutter", "density", "6.25e-08"),
-                               ("gm", "extraction", "top-n"), ("gm", "extraction_threshold", "0.5")):
+                               ("gm", "extraction", "top-n"), ("gm", "extraction_threshold", "0.5"),
+                               ("scenario", "resample", "systematic"),
+                               ("scenario", "init_weight", "1e-16")):
         with pytest.raises(ConfigError, match=f"unknown key {section}.{key}"):
             parse_config_text(f"[{section}]\n{key} = {text}\n")
 

@@ -56,7 +56,8 @@ def test_silverman_rejects_degenerate_arguments():
 def test_floor_covariance_leaves_healthy_matrix_alone():
     cov = np.diag([2.0, 3.0])
     out = floor_covariance(cov)
-    assert out is cov
+    assert np.shares_memory(out, cov)
+    assert np.array_equal(out, cov)
 
 
 def test_floor_covariance_inflates_singular_matrix():
@@ -293,7 +294,8 @@ def test_kde_single_particle_gets_floor():
 def test_kde_checks_its_kernels(monkeypatch):
     import phdtrack.gaussmix as gaussmix
 
-    monkeypatch.setattr(gaussmix, "floor_covariance", lambda cov: -np.eye(len(cov)))
+    monkeypatch.setattr(gaussmix, "floor_covariances",
+                        lambda covs: np.broadcast_to(-np.eye(covs.shape[-1]), covs.shape))
     states = np.random.default_rng(14).standard_normal((20, 3))
     with pytest.raises(ValueError, match="PSD"):
         kde_from_particles(states, 1.0, np.repeat([0, 1], 10))

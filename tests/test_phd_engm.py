@@ -36,7 +36,7 @@ from phdtrack.phd_smc import ParticleSet
 def uniform_cloud(states, mass):
     states = np.asarray(states, dtype=float)
     j = states.shape[0]
-    return EngmPhdState(ParticleSet(states, np.full(j, mass / j)), j)
+    return EngmPhdState(ParticleSet(states, np.full(j, mass / j)))
 
 
 def reduction_models():
@@ -51,19 +51,16 @@ def reduction_models():
 def test_state_validation():
     states = np.zeros((4, 6))
     with pytest.raises(ValueError):
-        EngmPhdState(ParticleSet(states, np.array([0.1, 0.1, 0.1, 0.2])), 4)
-    with pytest.raises(ValueError):
-        EngmPhdState(ParticleSet(states, np.full(4, 0.25)), 5)
+        EngmPhdState(ParticleSet(states, np.array([0.1, 0.1, 0.1, 0.2])))
     state = uniform_cloud(states + 50.0, 2.0)
-    assert state.particle_count == 4
     assert state.particles.mass == pytest.approx(2.0)
     assert np.array_equal(state.parts, np.zeros(4))
     cloud = ParticleSet(states, np.full(4, 0.25))
-    assert np.array_equal(EngmPhdState(cloud, 4, np.array([1, 1, 3, 3])).parts, [1, 1, 3, 3])
+    assert np.array_equal(EngmPhdState(cloud, np.array([1, 1, 3, 3])).parts, [1, 1, 3, 3])
     with pytest.raises(ValueError):
-        EngmPhdState(cloud, 4, np.array([1, 1, 3]))
+        EngmPhdState(cloud, np.array([1, 1, 3]))
     with pytest.raises(ValueError):
-        EngmPhdState(cloud, 4, np.array([1.0, 1.0, 3.0, 3.0]))
+        EngmPhdState(cloud, np.array([1.0, 1.0, 3.0, 3.0]))
 
 
 def test_predict_gives_an_unlabelled_cloud_one_kernel_then_births():
@@ -101,7 +98,7 @@ def test_predict_gives_each_part_its_own_kernel():
         rng.standard_normal((12, 6)) * 0.5 + [110, 105, 55, -0.5, -0.5, 2.0],
     ])
     parts = np.array([5] * 12 + [8] * 12)
-    state = EngmPhdState(ParticleSet(states, np.full(24, 2.0 / 24)), 24, parts)
+    state = EngmPhdState(ParticleSet(states, np.full(24, 2.0 / 24)), parts)
     models = Models(birth=BirthModel(count_per_step=0))
     predicted = engm_predict(state, models, rng)
     assert np.array_equal(predicted.parts, parts)
@@ -143,6 +140,10 @@ def test_predict_zero_survivor_mass_returns_only_births():
     predicted = engm_predict(state, Models(), rng)
     assert len(predicted) == 10
     assert predicted.mass == pytest.approx(0.1, rel=1e-12)
+    # no survivors and no births: the empty mixture
+    empty = EngmPhdState(ParticleSet(np.zeros((0, 6)), np.zeros(0)))
+    predicted = engm_predict(empty, Models(birth=BirthModel(count_per_step=0)), rng)
+    assert len(predicted) == 0 and predicted.dim == 6
 
 
 def test_update_matches_mixture_corrector_layout():
@@ -168,14 +169,26 @@ def test_resample_uniform_and_mass_preserving():
     posterior = GaussianMixture(rng.uniform(0.0, 0.3, 20), means,
                                 np.broadcast_to(0.01 * np.eye(6), (20, 6, 6)).copy())
     state = engm_resample(posterior, 50, np.random.default_rng(1))
-    assert state.particle_count == 50
     assert len(state.particles) == 50
     assert state.particles.mass == pytest.approx(posterior.mass, rel=1e-12)
     assert np.ptp(state.particles.weights) == 0.0
     with pytest.raises(ValueError):
-        engm_resample(GaussianMixture.empty(6), 10, np.random.default_rng(0))
-    with pytest.raises(ValueError):
         engm_resample(posterior, 0, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("posterior", [
+    GaussianMixture.empty(6),
+    GaussianMixture(np.zeros(3), np.zeros((3, 6)), np.broadcast_to(np.eye(6), (3, 6, 6)).copy()),
+], ids=["empty", "zero-weights"])
+def test_zero_mass_resamples_to_the_empty_cloud(posterior):
+    rng = np.random.default_rng(0)
+    before = rng.bit_generator.state
+    state = engm_resample(posterior, 10, rng)
+    assert len(state.particles) == 0
+    assert state.particles.dim == 6
+    assert state.parts.shape == (0,)
+    # nothing was drawn
+    assert rng.bit_generator.state == before
 
 
 def test_extract_takes_weighted_means_of_the_heaviest_parts():
@@ -219,7 +232,7 @@ def test_update_and_resample_carry_parts():
         rng.standard_normal((15, 6)) + [120, 40, 60, 0, 0, 1.0],
     ])
     parts = np.array([2] * 15 + [6] * 15)
-    state = EngmPhdState(ParticleSet(states, np.full(30, 2.0 / 30)), 30, parts)
+    state = EngmPhdState(ParticleSet(states, np.full(30, 2.0 / 30)), parts)
     models = Models()
     predicted = engm_predict(state, models, rng)
     assert np.array_equal(predicted.parts, np.concatenate([parts, np.full(10, 7)]))

@@ -402,6 +402,21 @@ def test_prune_drops_light_components_but_keeps_mass():
     assert len(managed) == 1
     assert managed.means[0] == pytest.approx(mix.means[1])
     assert managed.mass == pytest.approx(mix.mass, rel=1e-12)
+    # a threshold of 0 still drops a zero weight, whose moment match is 0/0
+    mix = GaussianMixture(np.array([1.0, 0.0]), mix.means, mix.covs)
+    managed = prune_merge_cap(mix, GmPhdConfig(prune_threshold=0.0))
+    assert len(managed) == 1
+    assert managed.means[0] == pytest.approx(mix.means[0])
+    assert managed.mass == 1.0
+
+
+def test_prune_of_zero_mass_is_the_empty_mixture():
+    mix = GaussianMixture(np.zeros(2), np.zeros((2, 6)),
+                          np.broadcast_to(np.eye(6), (2, 6, 6)).copy())
+    for config in (GmPhdConfig(), GmPhdConfig(prune_threshold=0.0)):
+        managed = prune_merge_cap(mix, config)
+        assert len(managed) == 0
+        assert managed.dim == 6
 
 
 def test_prune_keeps_heaviest_when_all_below_threshold():

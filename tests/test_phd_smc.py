@@ -169,14 +169,13 @@ def test_resample_preserves_mass_and_count():
     states = rng.standard_normal((40, 6))
     weights = rng.uniform(0.0, 1.0, 40)
     cloud = ParticleSet(states, weights)
-    for method in ("multinomial", "systematic"):
-        out = smc_resample(cloud, 25, np.random.default_rng(1), method)
-        assert len(out) == 25
-        assert out.mass == pytest.approx(cloud.mass, rel=1e-12)
-        assert np.ptp(out.weights) == 0.0  # uniform weights
-        # every resampled state is one of the inputs
-        for s in out.states:
-            assert np.any(np.all(s == states, axis=1))
+    out = smc_resample(cloud, 25, np.random.default_rng(1))
+    assert len(out) == 25
+    assert out.mass == pytest.approx(cloud.mass, rel=1e-12)
+    assert np.ptp(out.weights) == 0.0  # uniform weights
+    # every resampled state is one of the inputs
+    for s in out.states:
+        assert np.any(np.all(s == states, axis=1))
 
 
 def test_resample_upsamples():
@@ -186,43 +185,26 @@ def test_resample_upsamples():
     assert out.mass == pytest.approx(1.0, rel=1e-12)
 
 
-class FixedUniform:
-    """A generator stub whose one uniform draw is u."""
-
-    def __init__(self, u):
-        self.u = u
-
-    def random(self):
-        return self.u
-
-
-def test_systematic_resampling_is_stratified():
-    # equal weights and count == J: systematic resampling keeps each
-    # particle exactly once regardless of the rng draw
-    states = np.arange(30.0).reshape(5, 6)
-    cloud = ParticleSet(states, np.full(5, 0.2))
-    out = smc_resample(cloud, 5, np.random.default_rng(9), "systematic")
-    assert np.array_equal(np.sort(out.states[:, 0]), states[:, 0])
-    # a first position of 0 and one beyond the final cumulative weight
-    # (0.35/1.08 + 0.73/1.08 = 0.9999999999999998) must still skip the
-    # zero weights
-    for weights, u, count in (([0.0, 1.0, 0.0, 1.0], 0.0, 4),
-                              ([0.35, 0.73, 0.0], np.nextafter(1.0, 0.0), 1)):
-        cloud = ParticleSet(states[:len(weights)], np.array(weights))
-        out = smc_resample(cloud, count, FixedUniform(u), "systematic")
-        picked = np.flatnonzero(np.isin(states[:, 0], out.states[:, 0]))
-        assert np.all(cloud.weights[picked] > 0)
-
-
 def test_resample_rejects_bad_input():
-    cloud = ParticleSet(np.zeros((3, 6)), np.zeros(3))
-    with pytest.raises(ValueError):
-        smc_resample(cloud, 5, np.random.default_rng(0))
     good = ParticleSet(np.zeros((3, 6)), np.full(3, 0.1))
     with pytest.raises(ValueError):
         smc_resample(good, 0, np.random.default_rng(0))
-    with pytest.raises(ValueError):
-        smc_resample(good, 5, np.random.default_rng(0), "bogus")
+
+
+@pytest.mark.parametrize("count", [0, 3])
+def test_zero_mass_resamples_to_the_empty_cloud(count):
+    cloud = ParticleSet(np.ones((count, 6)), np.zeros(count))
+    rng = np.random.default_rng(0)
+    before = rng.bit_generator.state
+    out = smc_resample(cloud, 5, rng)
+    assert len(out) == 0
+    assert out.dim == 6
+    # nothing was drawn
+    assert rng.bit_generator.state == before
+    # and the empty cloud extracts no estimate, in the state dimension
+    n_hat, extracted = cluster_extract(out, rng)
+    assert n_hat == 0
+    assert extracted.shape == (0, 6)
 
 
 def test_kmeans_single_cluster_returns_mean():

@@ -5,6 +5,7 @@ import pytest
 
 from phdtrack.gaussmix import GaussianMixture
 from phdtrack.models import (
+    BirthModel,
     ClutterModel,
     DetectionSurvival,
     Models,
@@ -138,14 +139,20 @@ def test_run_filter_seed_changes_draws():
     assert any(not np.array_equal(ra.extracted, rb.extracted) for ra, rb in zip(a, b))
 
 
-@pytest.mark.parametrize("kind", FILTER_KINDS)
-def test_zero_mass_correction_keeps_the_filter_dark(kind):
-    """No targets, no clutter and certain detection: every correction has zero mass."""
+@pytest.mark.parametrize("kind, births", [
+    pytest.param(kind, births, id=kind if births else f"{kind}-no-births")
+    for births in (10, 0) for kind in FILTER_KINDS
+])
+def test_zero_mass_correction_keeps_the_filter_dark(kind, births):
+    """No targets, no clutter and certain detection: every correction has
+    zero mass, so every step's intensity is empty, with births or without."""
     config = ScenarioConfig(initial_targets=np.zeros((0, 6)), t_end=5.0, filter_kind=kind,
-                            models=Models(clutter=ClutterModel(rate=0.0),
+                            models=Models(birth=BirthModel(count_per_step=births),
+                                          clutter=ClutterModel(rate=0.0),
                                           detection=DetectionSurvival(p_detect=1.0)))
     records = run_filter(config)
-    assert [(r.n_hat, r.ospa_total) for r in records] == [(0, 0.0)] * 5
+    assert [(r.n_hat, r.ospa_total, r.n_components, r.extracted.shape) for r in records] \
+        == [(0, 0.0, 0, (0, 6))] * 5
 
 
 def test_monte_carlo_mean_matches_hand_aggregate():
@@ -224,7 +231,7 @@ def _unchecked_corrected_mixture(monkeypatch):
     # prune_merge_cap: the merged covariances
     ("gm", _unchecked_corrected_mixture),
     # kde_from_particles: one kernel per part
-    ("engm", _bad_floor("phdtrack.gaussmix.floor_covariance")),
+    ("engm", _bad_floor("phdtrack.gaussmix.floor_covariances")),
 ], ids=["gm-predict", "gm-update", "engm-update", "gm-merge", "engm-kde"])
 def test_run_filter_reports_a_bad_computed_covariance(monkeypatch, kind, corrupt):
     overrides = corrupt(monkeypatch) or {}
