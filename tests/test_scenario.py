@@ -267,12 +267,26 @@ GOLDEN = {
          1.2201642591568556, 1.7340258172116678, 1.8898108199241876],
         [250] * 20,
     ),
+    # smc is dark for all 20 steps of the reference scenario (n_hat 0,
+    # OSPA 100), which pins nothing, so its entry is the clean scenario's
+    # (GOLDEN_MODELS), where it tracks
+    "smc": (
+        [1, 1, 2, 0, 2, 2, 2, 1, 2, 2, 2, 2, 2, 2, 1, 1, 1, 1, 1, 1],
+        [73.94709922436498, 73.69292500375003, 22.13096277809569, 100.0, 24.93455000722024,
+         27.422731886999532, 30.76058851085076, 72.34568209756164, 29.076592362450814,
+         27.054320451348453, 24.62313761946466, 24.293503114643908, 26.168883539453496,
+         28.531293058690814, 71.06539935868066, 71.0799972236441, 71.47797738190557,
+         72.08660204252622, 72.92123530458991, 73.97845431897808],
+        [250] * 20,
+    ),
 }
+GOLDEN_MODELS = {"smc": Models(clutter=ClutterModel(rate=0.0))}
 
 
 @pytest.mark.parametrize("kind", sorted(GOLDEN))
 def test_seeded_outputs_match_recorded_values(kind):
-    records = run_filter(ScenarioConfig(t_end=20.0, seed=0, filter_kind=kind, runs=1))
+    records = run_filter(ScenarioConfig(t_end=20.0, seed=0, filter_kind=kind, runs=1,
+                                        models=GOLDEN_MODELS.get(kind, Models())))
     n_hat, ospa_total, n_components = GOLDEN[kind]
     assert [r.n_hat for r in records] == n_hat
     assert [r.n_components for r in records] == n_components
