@@ -99,7 +99,6 @@ class FileConfig:
     p_survive: float = _in("detection", default=0.99)
     prune_threshold: float = _in("gm", default=1e-5)
     merge_threshold: float = _in("gm", default=4.0)
-    max_components: int = _in("gm", default=250)
     ospa_cutoff: float = _in("ospa", "cutoff", default=100.0)
     ospa_order: float = _in("ospa", "order", default=2.0)
 
@@ -134,7 +133,7 @@ class FileConfig:
             t_end=self.t_end,
             models=models,
             filter_kind=self.filter,
-            gm=GmPhdConfig(self.prune_threshold, self.merge_threshold, self.max_components),
+            gm=GmPhdConfig(self.prune_threshold, self.merge_threshold),
             budget=self.budget,
             ospa=OspaParams(self.ospa_cutoff, self.ospa_order),
             seed=self.seed,

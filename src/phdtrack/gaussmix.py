@@ -103,7 +103,8 @@ class GaussianMixture:
     parts is a (J,) integer label per component naming the part of the
     intensity it belongs to: the ensemble filter keeps one part per target
     hypothesis, so that each part gets its own kernel and its own state
-    estimate.  Left out, every component is in part 0.
+    estimate.  Left out, every component is its own part, labelled by its
+    position.
 
     The constructor checks the layout and every covariance
     (check_covariances); _assemble checks the layout only.
@@ -151,7 +152,7 @@ class GaussianMixture:
             raise ValueError(
                 f"inconsistent mixture shapes: weights {w.shape}, means {m.shape}, covs {p.shape}"
             )
-        parts = np.zeros(j, dtype=np.int64) if self.parts is None else np.asarray(self.parts)
+        parts = np.arange(j, dtype=np.int64) if self.parts is None else np.asarray(self.parts)
         if parts.shape != (j,) or (j and not np.issubdtype(parts.dtype, np.integer)):
             raise ValueError(f"parts must be (J,) integer labels, got {parts.shape} "
                              f"of {parts.dtype}")

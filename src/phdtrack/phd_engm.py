@@ -14,9 +14,9 @@ included; each measurement's corrected block becomes a new part, and the
 missed-detection copies stay in their parts.  Sampling from the corrected
 mixture then restores the uniform cloud, so mixture growth never
 compounds, and the state estimates are the means of the heaviest parts of
-the corrected mixture.  With one target and no births, clutter or missed
-detections there is a single part, and the recursion is the
-single-target ensemble filter.
+the corrected mixture (gm_extract, imported here as engm_extract).  With
+one target and no births, clutter or missed detections there is a single
+part, and the recursion is the single-target ensemble filter.
 """
 
 from __future__ import annotations
@@ -34,8 +34,9 @@ from .gaussmix import (
     sample_mixture_indexed,
     silverman_bandwidth,
 )
-# engm_update is the one corrector under this filter's stage name
-from .phd_gm import birth_components, gm_update as engm_update  # noqa: F401
+# the one corrector and the one extraction rule under this filter's stage names
+from .phd_gm import birth_components
+from .phd_gm import gm_extract as engm_extract, gm_update as engm_update  # noqa: F401
 from .phd_smc import ParticleSet
 
 UNIFORMITY_TOL = 1e-12
@@ -68,12 +69,13 @@ def engm_predict(state: EngmPhdState, models: "_models.Models",
     """Predicted intensity: per-part survivor KDE, then birth components.
 
     Survivors are propagated with process noise and wrapped in a KDE of
-    mass p_survive * N in which every part has its own kernel (see
-    kde_from_particles).  The birth components, drawn by birth_components
-    as gm_predict draws them, follow as one new part.  With zero survivor
-    mass the birth components are returned alone; with no births either,
-    that is the empty mixture.  Both pieces had their covariances checked
-    where they were computed, so joining them checks nothing new.
+    p_survive times the cloud's mass, in which every part has its own
+    kernel (see kde_from_particles).  The birth components, drawn by
+    birth_components as gm_predict draws them, follow as one new part.
+    With zero survivor mass the birth components are returned alone; with
+    no births either, that is the empty mixture.  Both pieces had their
+    covariances checked where they were computed, so joining them checks
+    nothing new.
     """
     motion = models.motion
     cloud = state.particles
@@ -108,26 +110,6 @@ def engm_resample(posterior: GaussianMixture, count: int,
         return EngmPhdState(ParticleSet(np.zeros((0, posterior.dim)), np.zeros(0)))
     idx, states = sample_mixture_indexed(posterior, count, rng)
     return EngmPhdState(ParticleSet(states, np.full(count, mass / count)), posterior.parts[idx])
-
-
-def engm_extract(posterior: GaussianMixture) -> tuple[int, np.ndarray]:
-    """Cardinality and state estimates from the corrected mixture's parts.
-
-    The cardinality estimate is the mass rounded half-up, as in gm_extract;
-    the estimates are the weighted means of that many heaviest parts (ties
-    broken by label), each the posterior mean of one target hypothesis.
-    Zero estimated targets yields an empty state array.
-    """
-    n_hat = int(np.floor(posterior.mass + 0.5))
-    if n_hat <= 0 or len(posterior) == 0:
-        return max(n_hat, 0), np.zeros((0, posterior.dim))
-    labels, inverse = np.unique(posterior.parts, return_inverse=True)
-    part_mass = np.bincount(inverse, weights=posterior.weights, minlength=labels.size)
-    part_sum = np.stack([np.bincount(inverse, weights=col, minlength=labels.size)
-                         for col in (posterior.weights[:, None] * posterior.means).T], axis=1)
-    heaviest = np.argsort(-part_mass, kind="stable")[:n_hat]
-    heaviest = heaviest[part_mass[heaviest] > 0.0]
-    return n_hat, part_sum[heaviest] / part_mass[heaviest, None]
 
 
 def engmf_step(states: np.ndarray, scan: "_models.MeasurementScan",

@@ -6,8 +6,9 @@ ensemble filter shares); the update, gm_update, runs a bank of
 extended Kalman corrections, one missed-detection copy plus one corrected
 copy per measurement, and is the corrector of the ensemble filter too.
 Mixture growth is contained by prune / merge / cap, which preserves total
-mass by rescaling.  Each stage checks the covariances it computes and
-nothing else (see gaussmix).
+mass by rescaling, under the scenario's budget.  The extraction,
+gm_extract, is the ensemble filter's too.  Each stage checks the
+covariances it computes and nothing else (see gaussmix).
 """
 
 from __future__ import annotations
@@ -27,21 +28,18 @@ MERGE_BLOCK = 32
 
 @dataclass(frozen=True)
 class GmPhdConfig:
-    """Mixture management knobs: pruning, merging, capping.
+    """Mixture management knobs: pruning and merging thresholds.
 
-    Extraction has no knobs: gm_extract takes the round(mass) heaviest
-    components, the cardinality rule of every filter.
+    The cap is the scenario's budget.  Extraction has no knobs: gm_extract
+    takes the round(mass) heaviest parts, the cardinality rule of every filter.
     """
 
     prune_threshold: float = 1e-5
     merge_threshold: float = 4.0
-    max_components: int = 250
 
     def __post_init__(self):
         if self.prune_threshold < 0 or self.merge_threshold < 0:
             raise ValueError("thresholds must be >= 0")
-        if self.max_components < 1:
-            raise ValueError("max_components must be >= 1")
 
 
 def gm_predict(posterior: GaussianMixture, models: "_models.Models",
@@ -154,7 +152,8 @@ def gm_update(prior: GaussianMixture, scan: "_models.MeasurementScan",
                                      np.concatenate(out_p), out_parts)
 
 
-def prune_merge_cap(mixture: GaussianMixture, config: GmPhdConfig) -> GaussianMixture:
+def prune_merge_cap(mixture: GaussianMixture, config: GmPhdConfig,
+                    budget: int) -> GaussianMixture:
     """Contain mixture growth without changing total mass.
 
     A mixture of zero mass is the zero intensity and becomes the empty
@@ -164,14 +163,17 @@ def prune_merge_cap(mixture: GaussianMixture, config: GmPhdConfig) -> GaussianMi
     greedily: the heaviest remaining component seeds a cluster of
     everything within the merge threshold, measured as squared Mahalanobis
     distance in the seed's covariance, and the cluster is moment-matched.
-    At most max_components survive, by weight.  All weights are then
-    rescaled so the output mass equals the input mass.
+    At most `budget` survive, by weight.  All weights are then rescaled so
+    the output mass equals the input mass, and every survivor is its own
+    part.
 
     The kept covariances are inverted once, so each of them must be
     invertible, not only the seeds'.  Distances use each seed's inverse and
     are computed in blocks of MERGE_BLOCK (32) candidate seeds, taken in
     stable order of decreasing weight; the greedy order is unchanged.
     """
+    if budget < 1:
+        raise ValueError(f"budget must be >= 1, got {budget}")
     pre_mass = mixture.mass
     if pre_mass <= 0:
         return GaussianMixture.empty(mixture.dim)
@@ -221,8 +223,8 @@ def prune_merge_cap(mixture: GaussianMixture, config: GmPhdConfig) -> GaussianMi
         merged_m[k] = mean
         merged_p[k] = 0.5 * (cov + cov.T)
     w, m, p = merged_w, merged_m, merged_p
-    if w.size > config.max_components:
-        top = np.sort(np.argsort(-w, kind="stable")[:config.max_components])
+    if w.size > budget:
+        top = np.sort(np.argsort(-w, kind="stable")[:budget])
         w, m, p = w[top], m[top], p[top]
     check_covariances(p)
     w = w * (pre_mass / w.sum())
@@ -230,15 +232,22 @@ def prune_merge_cap(mixture: GaussianMixture, config: GmPhdConfig) -> GaussianMi
 
 
 def gm_extract(mixture: GaussianMixture) -> tuple[int, np.ndarray]:
-    """State estimates from the managed mixture.
+    """Cardinality and state estimates from a mixture's parts.
 
-    The cardinality estimate is the mass rounded half-up and the estimates
-    are the means of that many heaviest components (ties broken by
-    position).
+    The cardinality estimate is the mass rounded half-up; the estimates
+    are the weighted means of that many heaviest parts of positive mass
+    (ties broken by label), one per target hypothesis.  An unlabelled
+    mixture, such as this filter's managed one, has one part per
+    component, so they are the means of its heaviest components, bit for
+    bit.  Zero estimated targets yields an empty (0, n) array.
     """
     n_hat = int(np.floor(mixture.mass + 0.5))
-    if n_hat <= 0:
-        return max(n_hat, 0), np.zeros((0, mixture.dim))
-    take = min(n_hat, len(mixture))
-    order = np.argsort(-mixture.weights, kind="stable")[:take]
-    return n_hat, mixture.means[order].copy()
+    if n_hat == 0:
+        return 0, np.zeros((0, mixture.dim))
+    labels = mixture.parts - mixture.parts.min()
+    part_mass = np.bincount(labels, weights=mixture.weights)
+    heaviest = np.argsort(-part_mass, kind="stable")[:n_hat]
+    heaviest = heaviest[part_mass[heaviest] > 0.0]
+    # weights over part mass first, so a one-component part weighs its mean by 1.0
+    share = np.where(labels == heaviest[:, None], mixture.weights, 0.0)
+    return n_hat, share / part_mass[heaviest, None] @ mixture.means

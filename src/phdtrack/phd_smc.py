@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import models as _models
+from .gaussmix import select_by_weight
 
 
 @dataclass(frozen=True)
@@ -114,6 +115,7 @@ def smc_update(predicted: ParticleSet, scan: "_models.MeasurementScan",
 def smc_resample(updated: ParticleSet, count: int, rng: np.random.Generator) -> ParticleSet:
     """Resample multinomially to `count` particles with uniform weights mass/count.
 
+    Particles are drawn by select_by_weight, as mixture components are.
     Zero total mass is the empty intensity: the result is the empty cloud,
     and nothing is drawn.  The next prediction's births reseed it.
     """
@@ -122,22 +124,22 @@ def smc_resample(updated: ParticleSet, count: int, rng: np.random.Generator) -> 
     mass = updated.mass
     if mass <= 0:
         return ParticleSet(np.zeros((0, updated.dim)), np.zeros(0))
-    idx = rng.choice(len(updated), size=count, p=updated.weights / mass)
+    idx = select_by_weight(updated.weights, rng.random(count))
     return ParticleSet(updated.states[idx], np.full(count, mass / count))
 
 
 def _kmeans_seed(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
-    """k-means++ seeding: spread initial centers by squared-distance sampling."""
+    """k-means++ seeding: each center after the first is drawn by
+    select_by_weight over the squared distances to the centers so far."""
     n = points.shape[0]
     centers = np.empty((k, points.shape[1]))
     centers[0] = points[rng.integers(n)]
     d2 = np.sum((points - centers[0]) ** 2, axis=1)
     for j in range(1, k):
-        total = d2.sum()
-        if total <= 0.0:
+        if d2.sum() <= 0.0:
             centers[j:] = points[rng.integers(n, size=k - j)]
             break
-        centers[j] = points[rng.choice(n, p=d2 / total)]
+        centers[j] = points[select_by_weight(d2, rng.random())]
         d2 = np.minimum(d2, np.sum((points - centers[j]) ** 2, axis=1))
     return centers
 

@@ -48,7 +48,8 @@ class ScenarioConfig:
     """Everything needed to reproduce one experiment.
 
     A run covers t in [0, t_end] in steps of models.motion.dt, the step
-    the filters predict over, so truth and filters share one clock.
+    the filters predict over, so truth and filters share one clock.  The
+    budget sizes the smc and engm clouds and caps gm's managed mixture.
     """
 
     initial_targets: np.ndarray = field(default_factory=_default_targets)
@@ -159,7 +160,7 @@ class _GmStepper:
         cfg = self.config
         predicted = gm_predict(self.mixture, cfg.models, rng)
         corrected = gm_update(predicted, scan, cfg.models)
-        self.mixture = prune_merge_cap(corrected, cfg.gm)
+        self.mixture = prune_merge_cap(corrected, cfg.gm, cfg.budget)
         n_hat, states = gm_extract(self.mixture)
         return n_hat, states, len(self.mixture)
 

@@ -162,7 +162,7 @@ def test_criterion_2_kalman_oracle():
         i = int(np.argmax(corrected.weights))
         worst_mean = max(worst_mean, float(np.abs(corrected.means[i] - x_kf).max()))
         worst_cov = max(worst_cov, float(np.abs(corrected.covs[i] - p_kf).max()))
-        posterior = prune_merge_cap(corrected, GmPhdConfig())
+        posterior = prune_merge_cap(corrected, GmPhdConfig(), ScenarioConfig().budget)
     print(f"criterion 2: max |mean - Kalman| {worst_mean:.2e}, "
           f"max |cov - Kalman| {worst_cov:.2e} over 50 steps")
     assert worst_mean < 1e-9
@@ -195,7 +195,7 @@ def test_criterion_3_mass_ledgers():
         predicted = gm_predict(mixture, models, rng)
         worst["gm"] = max(worst["gm"], ledger_gap(predicted.mass, mixture.mass))
         corrected = gm_update(predicted, scan, models)
-        managed = prune_merge_cap(corrected, config.gm)
+        managed = prune_merge_cap(corrected, config.gm, config.budget)
         # mixture management must not change the carried mass at all
         assert abs(managed.mass - corrected.mass) <= 1e-12 * max(corrected.mass, 1.0)
         mixture = managed

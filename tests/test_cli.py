@@ -3,7 +3,7 @@
 import csv
 import json
 import os
-from dataclasses import fields, replace
+from dataclasses import fields, is_dataclass, replace
 
 import numpy as np
 import pytest
@@ -20,6 +20,7 @@ from phdtrack.cli import (
     main,
     parse_config_text,
 )
+from phdtrack.scenario import ScenarioConfig
 
 
 def write_config(tmp_path, **overrides):
@@ -86,7 +87,6 @@ DEFAULT_CONFIG_TEXT = (
     "[gm]\n"
     "prune_threshold = 1e-05\n"
     "merge_threshold = 4.0\n"
-    "max_components = 250\n"
     "\n"
     "[ospa]\n"
     "cutoff = 100.0\n"
@@ -131,7 +131,6 @@ ONE_KEY_CASES = [
     ("detection", "p_survive", "0.95", "p_survive", 0.95),
     ("gm", "prune_threshold", "1e-4", "prune_threshold", 1e-4),
     ("gm", "merge_threshold", "9.0", "merge_threshold", 9.0),
-    ("gm", "max_components", "50", "max_components", 50),
     ("ospa", "cutoff", "50.0", "ospa_cutoff", 50.0),
     ("ospa", "order", "1.0", "ospa_order", 1.0),
 ]
@@ -210,7 +209,8 @@ def test_parse_rejects_unknown_sections_and_keys():
     for section, key, text in (("scenario", "t_start", "0.0"), ("clutter", "density", "6.25e-08"),
                                ("gm", "extraction", "top-n"), ("gm", "extraction_threshold", "0.5"),
                                ("scenario", "resample", "systematic"),
-                               ("scenario", "init_weight", "1e-16")):
+                               ("scenario", "init_weight", "1e-16"),
+                               ("gm", "max_components", "250")):
         with pytest.raises(ConfigError, match=f"unknown key {section}.{key}"):
             parse_config_text(f"[{section}]\n{key} = {text}\n")
 
@@ -233,6 +233,33 @@ def test_to_scenario_wiring():
     birth = scenario.models.birth
     assert birth.cov == pytest.approx(np.diag(np.array([50.0, 50, 50, 5, 5, 5]) ** 2))
     assert scenario.models.clutter.region[2, 1] == 400.0
+
+
+def leaves(value, path=""):
+    """(path, value) for every leaf of a configuration: dataclass fields and
+    plain objects' attributes are walked, anything else is a leaf."""
+    if is_dataclass(value):
+        items = [(f.name, getattr(value, f.name)) for f in fields(value)]
+    elif hasattr(value, "__dict__"):
+        items = sorted(vars(value).items())
+    else:
+        yield path, value
+        return
+    for name, child in items:
+        yield from leaves(child, f"{path}.{name}")
+
+
+def test_file_defaults_are_the_library_defaults():
+    # with no file at all the command line runs the scenario that the
+    # library's defaults describe, leaf for leaf and bit for bit
+    got = dict(leaves(FileConfig().to_scenario()))
+    want = dict(leaves(ScenarioConfig()))
+    assert got.keys() == want.keys()
+    for path, value in want.items():
+        if isinstance(value, np.ndarray):
+            assert np.array_equal(got[path], value), path
+        else:
+            assert type(got[path]) is type(value) and got[path] == value, path
 
 
 def test_default_kappa_through_config():

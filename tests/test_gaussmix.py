@@ -190,7 +190,8 @@ def test_mixture_part_labels():
     assert np.array_equal(mix.parts, [3, 1])
     unlabelled = GaussianMixture(np.ones(2), np.zeros((2, 3)), covs)
     assert unlabelled.parts.dtype == np.int64
-    assert np.array_equal(unlabelled.parts, [0, 0])
+    # left out, every component is its own part
+    assert np.array_equal(unlabelled.parts, [0, 1])
     assert GaussianMixture.empty(3).parts.shape == (0,)
     with pytest.raises(ValueError):
         GaussianMixture(np.ones(2), np.zeros((2, 3)), covs, np.array([0]))

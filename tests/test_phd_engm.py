@@ -22,6 +22,7 @@ from phdtrack.models import (
     sample_psd_noise,
     wrap_angle,
 )
+from phdtrack import phd_engm, phd_gm
 from phdtrack.phd_engm import (
     EngmPhdState,
     engm_extract,
@@ -216,13 +217,20 @@ def test_extract_takes_weighted_means_of_the_heaviest_parts():
     xs = np.sort(extracted[:, 0])
     assert xs[0] == pytest.approx(10.0, abs=0.5)
     assert xs[1] == pytest.approx(90.0, abs=0.5)
-    # a mixture built without labels is all in part 0
+    # a mixture built without labels has one part per component: the
+    # estimates are its two heaviest means, bit for bit
     n_hat, extracted = engm_extract(GaussianMixture(weights, means, posterior.covs))
     assert n_hat == 2
-    assert extracted == pytest.approx((weights @ means / weights.sum())[None], rel=1e-12)
+    assert np.array_equal(extracted, means[np.argsort(-weights, kind="stable")[:2]])
     light = GaussianMixture(np.full(3, 0.1), means[:3], posterior.covs[:3], parts[:3])
     n_hat, extracted = engm_extract(light)
     assert n_hat == 0 and extracted.shape == (0, 6)
+
+
+def test_extraction_and_correction_are_the_plain_filters():
+    # one extraction rule and one corrector, under this filter's stage names
+    assert phd_engm.engm_extract is phd_gm.gm_extract
+    assert phd_engm.engm_update is phd_gm.gm_update
 
 
 def test_update_and_resample_carry_parts():

@@ -29,6 +29,9 @@ from phdtrack.phd_gm import (
     prune_merge_cap,
 )
 
+# the scenario's default budget, which caps the managed mixture
+BUDGET = 250
+
 
 def single_target_models():
     """Linear measurements, certain detection/survival, no clutter, no births."""
@@ -77,7 +80,7 @@ def test_single_target_matches_kalman_filter():
         assert corrected.mass == pytest.approx(1.0, abs=1e-12)
         assert corrected.means[i] == pytest.approx(x_kf, abs=1e-9)
         assert corrected.covs[i] == pytest.approx(p_kf, abs=1e-9)
-        posterior = prune_merge_cap(corrected, GmPhdConfig())
+        posterior = prune_merge_cap(corrected, GmPhdConfig(), BUDGET)
 
 
 def test_predict_mass_and_structure():
@@ -398,13 +401,13 @@ def test_prune_drops_light_components_but_keeps_mass():
         np.array([[0.0] * 6, [100.0, 100.0, 100.0, 0.0, 0.0, 0.0]]),
         np.broadcast_to(np.eye(6), (2, 6, 6)).copy(),
     )
-    managed = prune_merge_cap(mix, config)
+    managed = prune_merge_cap(mix, config, BUDGET)
     assert len(managed) == 1
     assert managed.means[0] == pytest.approx(mix.means[1])
     assert managed.mass == pytest.approx(mix.mass, rel=1e-12)
     # a threshold of 0 still drops a zero weight, whose moment match is 0/0
     mix = GaussianMixture(np.array([1.0, 0.0]), mix.means, mix.covs)
-    managed = prune_merge_cap(mix, GmPhdConfig(prune_threshold=0.0))
+    managed = prune_merge_cap(mix, GmPhdConfig(prune_threshold=0.0), BUDGET)
     assert len(managed) == 1
     assert managed.means[0] == pytest.approx(mix.means[0])
     assert managed.mass == 1.0
@@ -414,7 +417,7 @@ def test_prune_of_zero_mass_is_the_empty_mixture():
     mix = GaussianMixture(np.zeros(2), np.zeros((2, 6)),
                           np.broadcast_to(np.eye(6), (2, 6, 6)).copy())
     for config in (GmPhdConfig(), GmPhdConfig(prune_threshold=0.0)):
-        managed = prune_merge_cap(mix, config)
+        managed = prune_merge_cap(mix, config, BUDGET)
         assert len(managed) == 0
         assert managed.dim == 6
 
@@ -426,7 +429,7 @@ def test_prune_keeps_heaviest_when_all_below_threshold():
         np.array([[0.0] * 6, [50.0] * 6]),
         np.broadcast_to(np.eye(6), (2, 6, 6)).copy(),
     )
-    managed = prune_merge_cap(mix, config)
+    managed = prune_merge_cap(mix, config, BUDGET)
     assert len(managed) == 1
     assert managed.means[0] == pytest.approx(mix.means[1])
     assert managed.mass == pytest.approx(mix.mass, rel=1e-12)
@@ -441,7 +444,7 @@ def test_merge_moment_matches_close_components():
         np.stack([mean, mean + offset]),
         np.broadcast_to(np.eye(6), (2, 6, 6)).copy(),
     )
-    managed = prune_merge_cap(mix, config)
+    managed = prune_merge_cap(mix, config, BUDGET)
     assert len(managed) == 1
     assert managed.weights[0] == pytest.approx(0.7, rel=1e-12)
     expected_mean = (0.4 * mean + 0.3 * (mean + offset)) / 0.7
@@ -461,7 +464,7 @@ def test_merge_respects_threshold():
         np.array([[0.0] * 6, [100.0, 0.0, 0.0, 0.0, 0.0, 0.0]]),
         np.broadcast_to(np.eye(6), (2, 6, 6)).copy(),
     )
-    managed = prune_merge_cap(mix, config)
+    managed = prune_merge_cap(mix, config, BUDGET)
     assert len(managed) == 2
     assert managed.mass == pytest.approx(0.7, rel=1e-12)
 
@@ -492,7 +495,7 @@ def moment_match(mix, members):
 ])
 def test_merge_is_greedy_by_weight_along_a_chain(weights, clusters):
     mix = chain_mixture(weights)
-    managed = prune_merge_cap(mix, GmPhdConfig())
+    managed = prune_merge_cap(mix, GmPhdConfig(), BUDGET)
     assert len(managed) == len(clusters)
     for i, members in enumerate(clusters):
         weight, mean, cov = moment_match(mix, sorted(members))
@@ -502,7 +505,7 @@ def test_merge_is_greedy_by_weight_along_a_chain(weights, clusters):
     assert managed.mass == pytest.approx(1.0, rel=1e-12)
 
 
-def reference_prune_merge_cap(mixture, config):
+def reference_prune_merge_cap(mixture, config, budget):
     """prune_merge_cap as it was before its merge distances were batched:
     one solve in the seed's covariance per greedy iteration.  Kept as the
     oracle for the partition, the arithmetic and the output order."""
@@ -538,8 +541,8 @@ def reference_prune_merge_cap(mixture, config):
     w = np.array(merged_w)
     m = np.array(merged_m)
     p = np.array(merged_p)
-    if w.size > config.max_components:
-        top = np.sort(np.argsort(-w, kind="stable")[:config.max_components])
+    if w.size > budget:
+        top = np.sort(np.argsort(-w, kind="stable")[:budget])
         w, m, p = w[top], m[top], p[top]
     current = w.sum()
     if current > 0:
@@ -580,15 +583,16 @@ def pairwise_d2(mixture, config):
 
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(seed=st.integers(0, 2**32 - 1), count=st.integers(1, 200), dim=st.integers(1, 6),
-       max_components=st.integers(1, 100), merge_threshold=st.sampled_from([0.0, 1.0, 4.0, 16.0]))
-def test_merge_matches_one_solve_per_seed(seed, count, dim, max_components, merge_threshold):
+       budget=st.integers(1, 100), merge_threshold=st.sampled_from([0.0, 1.0, 4.0, 16.0]))
+def test_merge_matches_one_solve_per_seed(seed, count, dim, budget, merge_threshold):
     mix = random_mixture(np.random.default_rng(seed), count, dim)
-    config = GmPhdConfig(merge_threshold=merge_threshold, max_components=max_components)
+    config = GmPhdConfig(merge_threshold=merge_threshold)
     # a distance within roundoff of the threshold may fall either side of
     # it under a different (equally exact) evaluation order
     d2 = pairwise_d2(mix, config)
     assume(not np.any(np.abs(d2 - merge_threshold) <= 1e-9 * merge_threshold))
-    assert_bit_identical(prune_merge_cap(mix, config), reference_prune_merge_cap(mix, config))
+    assert_bit_identical(prune_merge_cap(mix, config, budget),
+                         reference_prune_merge_cap(mix, config, budget))
 
 
 def test_merge_across_distance_blocks():
@@ -610,13 +614,13 @@ def test_merge_across_distance_blocks():
     order = np.random.default_rng(7).permutation(count)
     mix = GaussianMixture(rank_weight[order], means[order],
                           np.broadcast_to(np.eye(6), (count, 6, 6)).copy())
-    uncapped = GmPhdConfig(max_components=count)
-    assert len(reference_prune_merge_cap(mix, uncapped)) == count - 4
-    assert_bit_identical(prune_merge_cap(mix, uncapped), reference_prune_merge_cap(mix, uncapped))
-    capped = GmPhdConfig(max_components=block + 20)
-    managed = prune_merge_cap(mix, capped)
+    config = GmPhdConfig()
+    assert len(reference_prune_merge_cap(mix, config, count)) == count - 4
+    assert_bit_identical(prune_merge_cap(mix, config, count),
+                         reference_prune_merge_cap(mix, config, count))
+    managed = prune_merge_cap(mix, config, block + 20)
     assert len(managed) == block + 20
-    assert_bit_identical(managed, reference_prune_merge_cap(mix, capped))
+    assert_bit_identical(managed, reference_prune_merge_cap(mix, config, block + 20))
 
 
 @pytest.mark.parametrize("singular, far", [(0, 50.0), (1, 50.0), (1, 0.5)],
@@ -626,17 +630,16 @@ def test_merge_raises_on_a_singular_covariance(singular, far):
     covs[singular] = np.diag([1.0, 1.0, 1.0, 1.0, 1.0, 0.0])
     mix = GaussianMixture(np.array([0.9, 0.4]), np.array([[0.0] * 6, [far] * 6]), covs)
     with pytest.raises(np.linalg.LinAlgError):
-        prune_merge_cap(mix, GmPhdConfig())
+        prune_merge_cap(mix, GmPhdConfig(), BUDGET)
 
 
 def test_cap_keeps_heaviest_and_rescales():
-    config = GmPhdConfig(max_components=3)
     count = 10
     weights = 0.01 * np.arange(1, count + 1)
     means = np.zeros((count, 6))
     means[:, 0] = 100.0 * np.arange(count)  # far apart: no merging
     mix = GaussianMixture(weights, means, np.broadcast_to(np.eye(6), (count, 6, 6)).copy())
-    managed = prune_merge_cap(mix, config)
+    managed = prune_merge_cap(mix, GmPhdConfig(), 3)
     assert len(managed) == 3
     kept = sorted(managed.means[:, 0])
     assert kept == [700.0, 800.0, 900.0]
@@ -650,9 +653,12 @@ def test_extract_top_n():
         np.broadcast_to(np.eye(6), (3, 6, 6)).copy(),
     )
     n_hat, states = gm_extract(mix)
-    # mass 2.1 rounds to 2: the two heaviest means
+    # mass 2.1 rounds to 2: the two heaviest means, bit for bit, since a
+    # mixture built without labels has one part per component
     assert n_hat == 2
-    assert states == pytest.approx(mix.means[:2])
+    assert np.array_equal(states, mix.means[:2])
+    shuffled = GaussianMixture(mix.weights[::-1], mix.means[::-1], mix.covs)
+    assert np.array_equal(gm_extract(shuffled)[1], mix.means[:2])
 
 
 def test_extract_zero_mass():
@@ -670,7 +676,13 @@ def test_config_validation():
     with pytest.raises(ValueError):
         GmPhdConfig(prune_threshold=-1.0)
     with pytest.raises(ValueError):
-        GmPhdConfig(max_components=0)
+        GmPhdConfig(merge_threshold=-1.0)
+
+
+def test_prune_merge_cap_rejects_a_budget_below_one():
+    mix = GaussianMixture(np.array([0.5]), np.zeros((1, 6)), np.eye(6)[None])
+    with pytest.raises(ValueError, match="budget"):
+        prune_merge_cap(mix, GmPhdConfig(), 0)
 
 
 def test_radar_update_smoke():
@@ -739,4 +751,4 @@ def test_prune_merge_cap_checks_merged_covariances():
     bad = GaussianMixture._assemble(np.array([0.5, 0.4]), np.array([[0.0] * 6, [100.0] * 6]),
                                     np.broadcast_to(-np.eye(6), (2, 6, 6)).copy())
     with pytest.raises(ValueError, match="PSD"):
-        prune_merge_cap(bad, GmPhdConfig())
+        prune_merge_cap(bad, GmPhdConfig(), BUDGET)

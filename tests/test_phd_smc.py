@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from phdtrack.gaussmix import select_by_weight
 from phdtrack.models import (
     BirthModel,
     ClutterModel,
@@ -176,6 +177,32 @@ def test_resample_preserves_mass_and_count():
     # every resampled state is one of the inputs
     for s in out.states:
         assert np.any(np.all(s == states, axis=1))
+
+
+class StubGenerator:
+    """Hands out the given uniform numbers and supports no other draw."""
+
+    def __init__(self, us):
+        self.us = np.asarray(us, dtype=float)
+
+    def random(self, count):
+        assert count == self.us.size
+        return self.us
+
+
+def test_resample_draws_by_select_by_weight():
+    rng = np.random.default_rng(9)
+    states = rng.standard_normal((30, 6))
+    weights = rng.uniform(0.0, 1.0, 30)
+    weights[[0, 11, 29]] = 0.0
+    cloud = ParticleSet(states, weights)
+    # u = 0 and u = 1 at both ends, where a zero weight sits first and last
+    us = np.concatenate([[0.0, 1.0], rng.random(50)])
+    out = smc_resample(cloud, us.size, StubGenerator(us))
+    idx = select_by_weight(weights, us)
+    assert np.array_equal(out.states, states[idx])
+    assert idx[0] == 1 and idx[1] == 28
+    assert not np.isin(idx, [0, 11, 29]).any()
 
 
 def test_resample_upsamples():

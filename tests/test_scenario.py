@@ -139,6 +139,18 @@ def test_run_filter_seed_changes_draws():
     assert any(not np.array_equal(ra.extracted, rb.extracted) for ra, rb in zip(a, b))
 
 
+@pytest.mark.parametrize("kind", FILTER_KINDS)
+def test_budget_sizes_every_filter(kind):
+    """One budget: it caps gm's managed mixture and sizes the smc and engm
+    clouds, at every step of the reference scenario."""
+    sizes = [r.n_components for r in run_filter(ScenarioConfig(budget=5, filter_kind=kind))]
+    assert len(sizes) == 100
+    if kind == "gm":
+        assert max(sizes) <= 5
+    else:
+        assert sizes == [5] * 100
+
+
 @pytest.mark.parametrize("kind, births", [
     pytest.param(kind, births, id=kind if births else f"{kind}-no-births")
     for births in (10, 0) for kind in FILTER_KINDS
