@@ -11,6 +11,7 @@ CLI sit on top.
 
 from .gaussmix import (
     GaussianMixture,
+    NumericalCheckError,
     eval_gaussian,
     kde_from_particles,
     sample_mixture,

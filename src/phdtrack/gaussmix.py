@@ -13,7 +13,9 @@ sum to any nonnegative value; nothing here normalizes unless a routine
 says so explicitly (sampling normalizes an internal copy only).
 
 Every covariance is checked for symmetry and positive semidefiniteness
-once, by check_covariances, where it is computed.  The public
+once, by check_covariances, where it is computed.  A check that passes
+costs one batched Cholesky factorization, which is itself the proof of
+the PSD test; the eigenvalues are computed only when it fails.  The public
 GaussianMixture constructor checks every covariance it is given; the
 recursions check the covariances they compute and build their mixtures
 through GaussianMixture._assemble, which trusts covariances that were
@@ -22,8 +24,13 @@ already checked, so a matrix carried from step to step is not re-checked.
 The covariance floor (floor_covariances) keeps the corrector's posterior
 covariances away from singularity.  Its common case, where no matrix
 needs the floor, costs one batched Cholesky factorization; the
-eigenvalues are computed only when that fails.  The floor does not stand
-in for the check: a matrix it cannot mend still fails check_covariances.
+eigenvalues are computed only when that fails.  Where the floor leaves its
+input unchanged, its factorization has proved the PSD test, so the
+corrector checks its posterior only where the floor acted; a matrix the
+floor cannot mend still fails check_covariances.
+
+Failed in-run checks raise NumericalCheckError, a ValueError, so that a
+run can tell a numerical failure from a programming error.
 """
 
 from __future__ import annotations
@@ -32,28 +39,45 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Covariance hygiene: tolerance for symmetry checks, the most negative
-# eigenvalue accepted as "PSD up to roundoff", and the floor scale used
-# to push near-singular matrices away from the factorization boundary.
+# Covariance hygiene, relative to each matrix's scale 1 + |trace|/n:
+# tolerance for symmetry checks, the most negative eigenvalue accepted as
+# "PSD up to roundoff", and the floor used to push near-singular matrices
+# away from the factorization boundary.
 SYMMETRY_TOL = 1e-10
 EIG_TOL = -1e-10
 FLOOR_SCALE = 1e-9
 
 
-def check_covariances(covs: np.ndarray) -> None:
-    """Raise ValueError unless every (n, n) matrix in covs is symmetric and PSD.
+class NumericalCheckError(ValueError):
+    """A check on the numbers a recursion computed failed: a covariance, a mass, a weight."""
 
-    Symmetric means no entry differs from its transpose by more than
-    SYMMETRY_TOL; PSD means no eigenvalue below EIG_TOL.  An empty stack
-    passes.
+
+def check_covariances(covs: np.ndarray) -> None:
+    """Raise NumericalCheckError unless every (n, n) matrix in covs is finite, symmetric and PSD.
+
+    Each matrix A is held to its own scale s = 1 + |trace(A)|/n, the
+    floor's scale for any matrix of nonnegative trace.  Symmetric means no
+    entry differs from its transpose by more than SYMMETRY_TOL * s; PSD
+    means no eigenvalue below EIG_TOL * s.  One batched Cholesky
+    factorization of A - EIG_TOL * s * I proves the PSD test for the whole
+    stack; only when it fails are the eigenvalues computed to decide.  An
+    empty stack passes.
     """
     covs = np.asarray(covs, dtype=float)
     if len(covs) == 0:
         return
-    if np.abs(covs - np.swapaxes(covs, -1, -2)).max() > SYMMETRY_TOL:
-        raise ValueError("covariances must be symmetric")
-    if np.linalg.eigvalsh(covs)[..., 0].min() < EIG_TOL:
-        raise ValueError("a covariance has an eigenvalue below the PSD tolerance")
+    if not np.all(np.isfinite(covs)):
+        raise NumericalCheckError("covariances must be finite")
+    n = covs.shape[-1]
+    scale = 1.0 + np.abs(np.trace(covs, axis1=-2, axis2=-1)) / n
+    if np.any(np.abs(covs - np.swapaxes(covs, -1, -2)).max(axis=(-2, -1)) > SYMMETRY_TOL * scale):
+        raise NumericalCheckError("covariances must be symmetric")
+    try:
+        np.linalg.cholesky(covs - EIG_TOL * scale[:, None, None] * np.eye(n))
+    except np.linalg.LinAlgError:
+        if np.any(np.linalg.eigvalsh(covs)[..., 0] < EIG_TOL * scale):
+            raise NumericalCheckError(
+                "a covariance has an eigenvalue below the PSD tolerance") from None
 
 
 def floor_covariances(covs: np.ndarray) -> np.ndarray:
@@ -160,9 +184,9 @@ class GaussianMixture:
         if j == 0:
             return
         if not np.all(np.isfinite(w)) or np.any(w < 0):
-            raise ValueError("weights must be finite and >= 0")
+            raise NumericalCheckError("weights must be finite and >= 0")
         if not np.all(np.isfinite(m)):
-            raise ValueError("means must be finite")
+            raise NumericalCheckError("means must be finite")
 
     def __len__(self) -> int:
         return self.weights.shape[0]
@@ -217,7 +241,7 @@ def kde_from_particles(states: np.ndarray, mass: float,
     if states.ndim != 2 or states.shape[0] < 1:
         raise ValueError(f"states must be (J, n) with J >= 1, got shape {states.shape}")
     if not np.isfinite(mass) or mass <= 0:
-        raise ValueError(f"mass must be finite and > 0, got {mass}")
+        raise NumericalCheckError(f"mass must be finite and > 0, got {mass}")
     j, n = states.shape
     parts = np.zeros(j, dtype=np.int64) if parts is None else np.asarray(parts)
     if parts.shape != (j,):
@@ -291,7 +315,7 @@ def sample_mixture_indexed(mixture: GaussianMixture, count: int,
     if count == 0:
         return np.zeros(0, dtype=int), np.zeros((0, n))
     if mixture.mass <= 0:
-        raise ValueError("cannot sample from a mixture with zero mass")
+        raise NumericalCheckError("cannot sample from a mixture with zero mass")
     idx = select_by_weight(mixture.weights, rng.random(count))
     z = rng.standard_normal((count, n))
     used = np.unique(idx)

@@ -99,7 +99,9 @@ def engm_resample(posterior: GaussianMixture, count: int,
                   rng: np.random.Generator) -> EngmPhdState:
     """Draw `count` particles from the corrected mixture, uniform weights mass/count.
 
-    Each particle joins the part of the component it was drawn from.  Zero
+    Each particle joins the part of the component it was drawn from, and
+    the parts are renumbered 0..P-1 in the order of their labels, so the
+    label range follows the number of parts, not the step count.  Zero
     mass is the empty intensity: the result is the empty cloud, and
     nothing is drawn.  The next prediction's births reseed it.
     """
@@ -109,7 +111,8 @@ def engm_resample(posterior: GaussianMixture, count: int,
     if mass <= 0:
         return EngmPhdState(ParticleSet(np.zeros((0, posterior.dim)), np.zeros(0)))
     idx, states = sample_mixture_indexed(posterior, count, rng)
-    return EngmPhdState(ParticleSet(states, np.full(count, mass / count)), posterior.parts[idx])
+    parts = np.unique(posterior.parts[idx], return_inverse=True)[1]
+    return EngmPhdState(ParticleSet(states, np.full(count, mass / count)), parts)
 
 
 def engmf_step(states: np.ndarray, scan: "_models.MeasurementScan",

@@ -90,7 +90,12 @@ def gm_update(prior: GaussianMixture, scan: "_models.MeasurementScan",
     its KDE prior as engm_update.
 
     S, K and the posterior covariance are computed once per component,
-    since none of them depends on the measurement, and the innovations,
+    since none of them depends on the measurement.  One Cholesky
+    factorization of S gives its log determinant and rejects an S that is
+    not positive definite (LinAlgError).  The posterior covariance is
+    exactly symmetric, and where the floor leaves it unchanged the floor's
+    own factorization has proved it PSD, so it is checked only where the
+    floor acted.  The innovations,
     likelihoods, weights and corrected means of all M measurements in one
     pass over every (measurement, component) pair.
     """
@@ -119,14 +124,14 @@ def gm_update(prior: GaussianMixture, scan: "_models.MeasurementScan",
         hp = h @ p
         s = hp @ ht + r
         s = 0.5 * (s + np.swapaxes(s, -1, -2))
-        sign, log_det = np.linalg.slogdet(s)
-        if np.any(sign <= 0):
-            raise np.linalg.LinAlgError("singular innovation covariance in mixture update")
+        log_det = 2.0 * np.log(np.diagonal(np.linalg.cholesky(s), axis1=-2, axis2=-1)).sum(-1)
         s_inv = np.linalg.inv(s)
         k_gain = p @ ht @ s_inv
         p_post = p - k_gain @ hp
-        p_post = floor_covariances(0.5 * (p_post + np.swapaxes(p_post, -1, -2)))
-        check_covariances(p_post)
+        p_sym = 0.5 * (p_post + np.swapaxes(p_post, -1, -2))
+        p_post = floor_covariances(p_sym)
+        if p_post is not p_sym:
+            check_covariances(p_post)
         # every measurement against every component at once: innovations
         # held component-major, (J, M, z_dim), so that each component's
         # S^-1 and K apply to all its M innovations in one matmul

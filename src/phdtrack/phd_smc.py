@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import models as _models
-from .gaussmix import select_by_weight
+from .gaussmix import NumericalCheckError, select_by_weight
 
 
 @dataclass(frozen=True)
@@ -35,9 +35,9 @@ class ParticleSet:
                 f"states {states.shape} and weights {weights.shape} must share one length")
         if states.shape[0]:
             if not np.all(np.isfinite(states)):
-                raise ValueError("particle states must be finite")
+                raise NumericalCheckError("particle states must be finite")
             if not np.all(np.isfinite(weights)) or np.any(weights < 0):
-                raise ValueError("particle weights must be finite and >= 0")
+                raise NumericalCheckError("particle weights must be finite and >= 0")
 
     def __len__(self) -> int:
         return self.states.shape[0]

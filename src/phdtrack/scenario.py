@@ -20,7 +20,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import models as _models
-from .gaussmix import GaussianMixture
+from .gaussmix import GaussianMixture, NumericalCheckError
 from .metrics import OspaParams, ospa
 from .phd_engm import EngmPhdState, engm_extract, engm_predict, engm_resample, engm_update
 from .phd_gm import GmPhdConfig, gm_extract, gm_predict, gm_update, prune_merge_cap
@@ -204,7 +204,9 @@ _STEPPERS = {"gm": _GmStepper, "smc": _SmcStepper, "engm": _EngmStepper}
 def run_filter(config: ScenarioConfig) -> list[StepRecord]:
     """One full filtering run; returns a record per step k = 1..K.
 
-    Numerical failures abort the run with the failing step index attached.
+    A numerical failure (NumericalCheckError, LinAlgError or
+    FloatingPointError) aborts the run as FilterNumericalError, with the
+    failing step index attached; any other exception propagates as it is.
     """
     rng_scan = np.random.default_rng(np.random.SeedSequence([config.seed, _SCAN_STREAM]))
     rng_filter = np.random.default_rng(np.random.SeedSequence([config.seed, _FILTER_STREAM]))
@@ -216,7 +218,7 @@ def run_filter(config: ScenarioConfig) -> list[StepRecord]:
         started = time.perf_counter()
         try:
             n_hat, extracted, n_components = stepper.step(scan, rng_filter)
-        except (np.linalg.LinAlgError, FloatingPointError, ValueError) as exc:
+        except (NumericalCheckError, np.linalg.LinAlgError, FloatingPointError) as exc:
             raise FilterNumericalError(k, exc) from exc
         elapsed = time.perf_counter() - started
         total, loc, card = ospa(extracted[:, :3] if extracted.size else extracted,

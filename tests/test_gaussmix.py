@@ -2,11 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from phdtrack.gaussmix import (
     EIG_TOL,
     FLOOR_SCALE,
     GaussianMixture,
+    NumericalCheckError,
     check_covariances,
     eval_gaussian,
     floor_covariance,
@@ -105,6 +108,87 @@ def test_floor_covariances_leaves_a_negative_definite_matrix_non_psd():
     assert np.linalg.eigvalsh(out[1])[0] < EIG_TOL
     with pytest.raises(ValueError, match="PSD"):
         check_covariances(out)
+
+
+# ---------------------------------------------------------------------------
+# the covariance check
+
+
+def check_scale(covs):
+    return 1.0 + np.abs(np.trace(covs, axis1=-2, axis2=-1)) / covs.shape[-1]
+
+
+def with_eigenvalues(rng, lam):
+    """One randomly rotated symmetric matrix per row of eigenvalues lam (count, n)."""
+    q, _ = np.linalg.qr(rng.standard_normal(lam.shape + lam.shape[-1:]))
+    covs = q @ (lam[:, :, None] * np.swapaxes(q, -1, -2))
+    return 0.5 * (covs + np.swapaxes(covs, -1, -2))
+
+
+def is_rejected(covs):
+    try:
+        check_covariances(covs)
+    except NumericalCheckError as exc:
+        assert "PSD" in str(exc)
+        return True
+    return False
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), count=st.integers(1, 300), n=st.sampled_from([1, 3, 6]),
+       log_size=st.floats(-3.0, 6.0), near=st.integers(0, 5))
+def test_check_agrees_with_the_eigenvalue_rule(seed, count, n, log_size, near):
+    # healthy blocks of any size, plus a few whose smallest eigenvalue sits
+    # just above or just below the tolerance EIG_TOL * s, with s = 1 + |trace|/n
+    rng = np.random.default_rng(seed)
+    lam = 10.0 ** log_size * rng.uniform(0.01, 1.0, (count, n))
+    for i in rng.integers(0, count, near):
+        s = 1.0 + lam[i, 1:].sum() / n
+        lam[i, 0] = s * (EIG_TOL + rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-7.5, -1.0))
+    covs = with_eigenvalues(rng, lam)
+    smallest = np.linalg.eigvalsh(covs)[:, 0]
+    tol = EIG_TOL * check_scale(covs)
+    assume(np.all(np.abs(smallest - tol) >= 1e-8 * check_scale(covs)))
+    assert is_rejected(covs) == bool(np.any(smallest < tol))
+
+
+@pytest.mark.parametrize("smallest, rejected", [(-1e-6, True), (-1e-12, False)])
+def test_check_finds_one_bad_block_in_a_large_stack(smallest, rejected):
+    rng = np.random.default_rng(8)
+    covs = np.stack([random_spd(rng, 6) for _ in range(300)])
+    lam = np.array([[smallest, 1.0, 2.0, 3.0, 4.0, 5.0]])
+    covs[137] = with_eigenvalues(rng, lam)[0]
+    assert is_rejected(covs) is rejected
+
+
+def test_check_tolerances_follow_the_scale():
+    rng = np.random.default_rng(9)
+    healthy = np.stack([random_spd(rng, 3) for _ in range(20)])
+    # a smallest eigenvalue, and an asymmetry, of 1e-12 and of 1e-6 times
+    # the block's size: the first passes and the second fails at any size;
+    # an absolute tolerance would reject 1e6 times the first
+    slightly = with_eigenvalues(rng, np.array([[-1e-12, 1.0, 2.0]]))
+    clearly = with_eigenvalues(rng, np.array([[-1e-6, 1.0, 2.0]]))
+    skew = np.zeros((3, 3))
+    skew[0, 1] = 1.0
+    cases = [(healthy, None), (np.concatenate([healthy, slightly]), None),
+             (np.concatenate([healthy, clearly]), "PSD"),
+             (healthy + 1e-12 * skew, None), (healthy + 1e-6 * skew, "symmetric")]
+    for covs, verdict in cases:
+        for size in (1.0, 1e6):
+            if verdict is None:
+                check_covariances(size * covs)
+            else:
+                with pytest.raises(NumericalCheckError, match=verdict):
+                    check_covariances(size * covs)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_check_rejects_a_covariance_that_is_not_finite(bad):
+    covs = np.stack([np.eye(3), np.eye(3)])
+    covs[1, 2, 2] = bad
+    with pytest.raises(NumericalCheckError, match="finite"):
+        check_covariances(covs)
 
 
 # ---------------------------------------------------------------------------

@@ -254,12 +254,31 @@ def test_update_and_resample_carry_parts():
     n_hat, extracted = engm_extract(corrected)
     assert n_hat == 2
     assert np.sort(np.linalg.norm(extracted[:, :3] - targets[:, None, :3], axis=2).min(axis=1))[-1] < 5.0
-    # every particle joins the part of the component it was drawn from
+    # every particle joins the part of the component it was drawn from,
+    # renumbered by rank: the two measurement parts are the last two labels
     following = engm_resample(corrected, 40, np.random.default_rng(3))
     idx, draws = sample_mixture_indexed(corrected, 40, np.random.default_rng(3))
     assert np.array_equal(following.particles.states, draws)
-    assert np.array_equal(following.parts, corrected.parts[idx])
-    assert np.isin(following.parts, [8, 9]).sum() >= 35
+    drawn = np.unique(corrected.parts[idx])
+    assert np.array_equal(drawn[following.parts], corrected.parts[idx])
+    assert drawn[-2:].tolist() == [8, 9]
+    assert np.isin(following.parts, [drawn.size - 2, drawn.size - 1]).sum() >= 35
+
+
+def test_resample_renumbers_parts_by_rank():
+    # labels far apart, out of order, and one part that is never drawn
+    labels = np.array([40, 40, 5, 1234, 17, 17, 999])
+    weights = np.array([0.3, 0.2, 0.4, 0.5, 0.1, 0.3, 0.0])
+    means = np.arange(7.0)[:, None] * np.ones(6)
+    posterior = GaussianMixture(weights, means, np.broadcast_to(1e-4 * np.eye(6), (7, 6, 6)).copy(),
+                                labels)
+    state = engm_resample(posterior, 200, np.random.default_rng(4))
+    idx, _ = sample_mixture_indexed(posterior, 200, np.random.default_rng(4))
+    # the zero-weight part 999 is never drawn, so four parts remain, in
+    # the order of their labels
+    assert np.array_equal(np.unique(state.parts), np.arange(4))
+    rank = {5: 0, 17: 1, 40: 2, 1234: 3}
+    assert state.parts.tolist() == [rank[label] for label in labels[idx]]
 
 
 def test_engmf_step_requires_single_measurement():

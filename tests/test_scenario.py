@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from phdtrack.gaussmix import GaussianMixture
+from phdtrack.gaussmix import GaussianMixture, NumericalCheckError
 from phdtrack.models import (
     BirthModel,
     ClutterModel,
@@ -250,8 +250,39 @@ def test_run_filter_reports_a_bad_computed_covariance(monkeypatch, kind, corrupt
     with pytest.raises(FilterNumericalError) as info:
         run_filter(tiny_config(filter_kind=kind, **overrides))
     assert info.value.step == 1
-    assert type(info.value.__cause__) is ValueError
+    assert type(info.value.__cause__) is NumericalCheckError
     assert "PSD" in str(info.value)
+
+
+@pytest.mark.parametrize("kind, stage", [
+    ("gm", "gm_update"), ("smc", "smc_update"), ("engm", "engm_update"),
+])
+def test_run_filter_lets_a_programming_error_through(monkeypatch, kind, stage):
+    import phdtrack.scenario as scenario
+
+    def broken(*args):
+        raise ValueError("not a numerical failure")
+
+    monkeypatch.setattr(scenario, stage, broken)
+    # FilterNumericalError is not a ValueError, so only the original gets here
+    with pytest.raises(ValueError, match="not a numerical failure"):
+        run_filter(tiny_config(filter_kind=kind))
+
+
+@pytest.mark.parametrize("kind", ["gm", "engm"])
+def test_seeded_run_takes_no_eigendecomposition(monkeypatch, kind):
+    # a check that passes, and a floor that has nothing to do, each cost
+    # one Cholesky factorization; eigenvalues only decide a failed one
+    calls = []
+    real = np.linalg.eigvalsh
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    run_filter(ScenarioConfig(t_end=20.0, seed=0, filter_kind=kind, runs=1))
+    assert len(calls) == 0
 
 # Per-step outputs of the reference scenario (seed 0, first 20 steps):
 # n_hat, OSPA and component count.  n_hat and OSPA were recorded before
