@@ -7,7 +7,9 @@ transition matrix F(dt): the Gaussian-mixture filter moves its means with
 it and the particle filters move their particles with it.  The
 measurement is a radar return (range, azimuth, elevation) with additive
 Gaussian noise.  Angles are radians everywhere in code; degrees
-appear only at the configuration boundary.
+appear only at the configuration boundary.  The fixed covariances that
+are drawn from, the process noise and the birth covariance, are
+factored once, when the model is built, and every draw reuses the factor.
 """
 
 from __future__ import annotations
@@ -52,27 +54,42 @@ def dwna_process_noise(dt: float, sigma_accel: float) -> np.ndarray:
     return sigma_accel ** 2 * q
 
 
-def sample_psd_noise(cov: np.ndarray, count: int, rng: np.random.Generator) -> np.ndarray:
-    """Draw `count` zero-mean Gaussian vectors with the given PSD covariance.
+@dataclass(frozen=True)
+class PsdFactor:
+    """A PSD covariance factored for drawing: root, the square roots of its
+    eigenvalues clipped at 0, and basis, its eigenvectors transposed."""
 
-    Works for singular covariances (the CV process noise has rank 3), via
-    an eigendecomposition with small negative eigenvalues clipped to zero.
-    Consumes exactly count*n standard normal draws; a zero covariance
-    still consumes them, so call sequences stay aligned across code paths.
+    root: np.ndarray
+    basis: np.ndarray
+
+
+def sample_psd_noise(factor: PsdFactor, count: int, rng: np.random.Generator) -> np.ndarray:
+    """Draw `count` zero-mean Gaussian vectors z * root @ basis from a PSD factor.
+
+    factor is MotionModel.noise_factor, factored once, when the model is
+    built; the clipped eigenvalues let singular covariances through (the
+    CV process noise has rank 3).  Consumes exactly count*n standard
+    normal draws, a zero covariance too, so call sequences stay aligned
+    across code paths.
     """
-    cov = np.asarray(cov, dtype=float)
-    n = cov.shape[0]
-    z = rng.standard_normal((count, n))
-    if not np.any(cov):
-        return np.zeros((count, n))
-    vals, vecs = np.linalg.eigh(cov)
-    vals = np.clip(vals, 0.0, None)
-    return z * np.sqrt(vals) @ vecs.T
+    z = rng.standard_normal((count, factor.root.shape[0]))
+    return z * factor.root @ factor.basis
 
 
 def wrap_angle(theta):
     """Wrap angles to the principal interval, elementwise."""
     return (np.asarray(theta) + np.pi) % TWO_PI - np.pi
+
+
+def wrap_angular(x: np.ndarray, angular: np.ndarray) -> np.ndarray:
+    """Wrap the angular columns (mask `angular`) of x (..., dim) in place; returns x.
+
+    Each column is indexed by its integer position, as a view, not by a
+    boolean mask on the last axis, which copies.
+    """
+    for col in np.flatnonzero(angular):
+        x[..., col] = wrap_angle(x[..., col])
+    return x
 
 
 @dataclass(frozen=True)
@@ -81,11 +98,13 @@ class MotionModel:
 
     dt is the one step length of a run: the truth and every filter
     advance by it.  The process noise is checked by check_covariances,
-    as every covariance the package accepts.
+    as every covariance the package accepts, and then factored once, as
+    noise_factor, for sample_psd_noise.
     """
 
     dt: float = 1.0
     process_noise: np.ndarray = field(default_factory=lambda: dwna_process_noise(1.0, 0.05))
+    noise_factor: PsdFactor = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         q = np.asarray(self.process_noise, dtype=float)
@@ -95,6 +114,8 @@ class MotionModel:
         if q.shape != (STATE_DIM, STATE_DIM):
             raise ValueError(f"process noise must be {STATE_DIM}x{STATE_DIM}, got {q.shape}")
         check_covariances(q[None])
+        vals, vecs = np.linalg.eigh(q)
+        object.__setattr__(self, "noise_factor", PsdFactor(np.sqrt(vals.clip(0.0)), vecs.T))
 
     @property
     def transition(self) -> np.ndarray:
@@ -218,7 +239,8 @@ class BirthModel:
     """Poisson birth intensity: count_per_step Gaussian draws, each with weight_each.
 
     The birth covariance is checked (check_covariances) once, here, for
-    every filter that draws from it.
+    every filter that draws from it, and factored once, here: cov_factor
+    is numpy's own eigh factor u * sqrt(|s|), for sample_birth_states.
     """
 
     mean: np.ndarray = field(default_factory=lambda: np.array([75.0, 75.0, 150.0, 0.0, 0.0, 0.0]))
@@ -226,6 +248,7 @@ class BirthModel:
         default_factory=lambda: np.diag(np.array([50.0, 50.0, 50.0, 5.0, 5.0, 5.0]) ** 2))
     count_per_step: int = 10
     weight_each: float = 0.01
+    cov_factor: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "mean", np.asarray(self.mean, dtype=float))
@@ -237,6 +260,8 @@ class BirthModel:
                              f"{STATE_DIM}), got {self.mean.shape} and {self.cov.shape}")
         # checked once here, so every filter that draws births gets the same answer
         check_covariances(self.cov[None])
+        s, u = np.linalg.eigh(self.cov)
+        object.__setattr__(self, "cov_factor", u * np.sqrt(np.abs(s)))
 
     @property
     def mass_per_step(self) -> float:
@@ -340,9 +365,14 @@ def sample_clutter(model: ClutterModel, rng: np.random.Generator,
 
 
 def sample_birth_states(model: BirthModel, rng: np.random.Generator) -> np.ndarray:
-    """count_per_step draws from the birth Gaussian, shape (count, 6)."""
+    """count_per_step draws from the birth Gaussian, shape (count, 6).
+
+    The draws are mean + z @ cov_factor', with the covariance factored
+    once, when the model is built; they and the generator's state after
+    them equal rng.multivariate_normal(mean, cov, count, method="eigh").
+    """
     if model.count_per_step == 0:
         return np.zeros((0, STATE_DIM))
-    return rng.multivariate_normal(model.mean, model.cov, size=model.count_per_step,
-                                   method="eigh")
+    z = rng.standard_normal((model.count_per_step, STATE_DIM))
+    return model.mean + z @ model.cov_factor.T
 

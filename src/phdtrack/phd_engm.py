@@ -80,7 +80,7 @@ def engm_predict(state: EngmPhdState, models: "_models.Models",
     motion = models.motion
     cloud = state.particles
     survivors = _models.propagate_state(cloud.states, motion.dt)
-    survivors = survivors + _models.sample_psd_noise(motion.process_noise, len(cloud), rng)
+    survivors = survivors + _models.sample_psd_noise(motion.noise_factor, len(cloud), rng)
     surviving_mass = models.detection.p_survive * cloud.mass
     births = birth_components(models.birth, rng)
     birth_parts = np.full(len(births), int(state.parts.max(initial=-1)) + 1)
@@ -134,7 +134,7 @@ def engmf_step(states: np.ndarray, scan: "_models.MeasurementScan",
     motion = models.motion
     meas = models.measurement
     prop = _models.propagate_state(states, motion.dt)
-    prop = prop + _models.sample_psd_noise(motion.process_noise, j, rng)
+    prop = prop + _models.sample_psd_noise(motion.noise_factor, j, rng)
     prior_cov = floor_covariance(silverman_bandwidth(n, j) * np.atleast_2d(np.cov(prop.T, ddof=1)))
     z = scan.values[0]
     r = np.asarray(meas.noise_cov, dtype=float)
@@ -148,7 +148,7 @@ def engmf_step(states: np.ndarray, scan: "_models.MeasurementScan",
         s = 0.5 * (s + s.T)
         gain = prior_cov @ h.T @ np.linalg.inv(s)
         innov = z - meas.measure(prop[i])
-        innov[meas.angular] = _models.wrap_angle(innov[meas.angular])
+        _models.wrap_angular(innov, meas.angular)
         means[i] = prop[i] + gain @ innov
         updated = prior_cov - gain @ h @ prior_cov
         covs[i] = floor_covariance(0.5 * (updated + updated.T))

@@ -53,7 +53,7 @@ def gm_predict(posterior: GaussianMixture, models: "_models.Models",
     f = models.motion.transition
     q = models.motion.process_noise
     p_s = models.detection.p_survive
-    covs_pred = np.einsum("ij,ajk,lk->ail", f, posterior.covs, f) + q
+    covs_pred = f @ posterior.covs @ f.T + q
     covs = 0.5 * (covs_pred + np.swapaxes(covs_pred, -1, -2))
     check_covariances(covs)
     births = birth_components(models.birth, rng)
@@ -135,10 +135,7 @@ def gm_update(prior: GaussianMixture, scan: "_models.MeasurementScan",
         # every measurement against every component at once: innovations
         # held component-major, (J, M, z_dim), so that each component's
         # S^-1 and K apply to all its M innovations in one matmul
-        innov = scan.values[None, :, :] - eta[:, None, :]
-        ang = meas.angular
-        if np.any(ang):
-            innov[..., ang] = _models.wrap_angle(innov[..., ang])
+        innov = _models.wrap_angular(scan.values[None, :, :] - eta[:, None, :], meas.angular)
         quad = np.sum((innov @ s_inv) * innov, axis=-1).T
         log_norm = r.shape[0] * np.log(2.0 * np.pi) + log_det
         like = np.exp(-0.5 * (quad + log_norm))

@@ -61,7 +61,7 @@ def smc_predict(posterior: ParticleSet, models: "_models.Models",
     """
     motion = models.motion
     survivors = _models.propagate_state(posterior.states, motion.dt)
-    survivors = survivors + _models.sample_psd_noise(motion.process_noise, len(posterior), rng)
+    survivors = survivors + _models.sample_psd_noise(motion.noise_factor, len(posterior), rng)
     birth_states = _models.sample_birth_states(models.birth, rng)
     states = np.concatenate([survivors, birth_states])
     weights = np.concatenate([
@@ -76,13 +76,10 @@ def _scan_log_likelihoods(states: np.ndarray, scan: "_models.MeasurementScan",
     """log N(z; h(x), R) for every particle/measurement pair, shape (J, M)."""
     z = scan.values
     eta = measurement.measure(states)
-    innov = z[None, :, :] - eta[:, None, :]
-    ang = measurement.angular
-    if np.any(ang):
-        innov[:, :, ang] = _models.wrap_angle(innov[:, :, ang])
+    innov = _models.wrap_angular(z[None, :, :] - eta[:, None, :], measurement.angular)
     r = measurement.noise_cov
-    solved = np.linalg.solve(r, innov.reshape(-1, r.shape[0]).T).T.reshape(innov.shape)
-    quad = np.einsum("jmi,jmi->jm", innov, solved)
+    # one 3x3 inverse per scan: R is fixed, and every pair shares it
+    quad = np.sum((innov @ np.linalg.inv(r)) * innov, axis=-1)
     _, log_det = np.linalg.slogdet(r)
     return -0.5 * (quad + r.shape[0] * np.log(2.0 * np.pi) + log_det)
 

@@ -111,11 +111,16 @@ class RunRecord:
 
 
 class FilterNumericalError(RuntimeError):
-    """A filter recursion failed; carries the 1-based step index."""
+    """A filter recursion failed; carries the 1-based step index and the stage.
 
-    def __init__(self, step: int, cause: Exception):
-        super().__init__(f"numerical failure at step {step}: {cause}")
+    The stage is one of predict, update, manage (gm) or resample (smc
+    and engm), and extract.
+    """
+
+    def __init__(self, step: int, stage: str, cause: Exception):
+        super().__init__(f"numerical failure at step {step}, stage {stage}: {cause}")
         self.step = step
+        self.stage = stage
 
 
 def simulate_truth(config: ScenarioConfig) -> np.ndarray:
@@ -138,15 +143,24 @@ def generate_scan(truth_states: np.ndarray, models: "_models.Models",
     for x in np.atleast_2d(truth_states):
         if rng.random() < models.detection.p_detect:
             z = meas.measure(x) + meas.sigmas * rng.standard_normal(meas.dim)
-            z[meas.angular] = _models.wrap_angle(z[meas.angular])
-            rows.append(z)
+            rows.append(_models.wrap_angular(z, meas.angular))
     detections = np.array(rows).reshape(len(rows), meas.dim)
     clutter = _models.sample_clutter(models.clutter, rng, meas)
     combined = np.concatenate([detections, clutter])
     return _models.MeasurementScan(combined[rng.permutation(len(combined))])
 
 
-class _GmStepper:
+class _Stepper:
+    """One filter's state between steps, and the stage its step is in."""
+
+    def _run(self, stage, fn, *args):
+        # the callers pass this module's globals, looked up at call time,
+        # so that a patched stage function is the one that runs
+        self.stage = stage
+        return fn(*args)
+
+
+class _GmStepper(_Stepper):
     def __init__(self, config: ScenarioConfig, rng: np.random.Generator):
         self.config = config
         dim = config.initial_targets.shape[1]
@@ -158,14 +172,14 @@ class _GmStepper:
 
     def step(self, scan, rng):
         cfg = self.config
-        predicted = gm_predict(self.mixture, cfg.models, rng)
-        corrected = gm_update(predicted, scan, cfg.models)
-        self.mixture = prune_merge_cap(corrected, cfg.gm, cfg.budget)
-        n_hat, states = gm_extract(self.mixture)
+        predicted = self._run("predict", gm_predict, self.mixture, cfg.models, rng)
+        corrected = self._run("update", gm_update, predicted, scan, cfg.models)
+        self.mixture = self._run("manage", prune_merge_cap, corrected, cfg.gm, cfg.budget)
+        n_hat, states = self._run("extract", gm_extract, self.mixture)
         return n_hat, states, len(self.mixture)
 
 
-class _SmcStepper:
+class _SmcStepper(_Stepper):
     def __init__(self, config: ScenarioConfig, rng: np.random.Generator):
         self.config = config
         dim = config.initial_targets.shape[1]
@@ -174,14 +188,14 @@ class _SmcStepper:
 
     def step(self, scan, rng):
         cfg = self.config
-        predicted = smc_predict(self.particles, cfg.models, rng)
-        corrected = smc_update(predicted, scan, cfg.models)
-        self.particles = smc_resample(corrected, cfg.budget, rng)
-        n_hat, states = cluster_extract(self.particles, rng)
+        predicted = self._run("predict", smc_predict, self.particles, cfg.models, rng)
+        corrected = self._run("update", smc_update, predicted, scan, cfg.models)
+        self.particles = self._run("resample", smc_resample, corrected, cfg.budget, rng)
+        n_hat, states = self._run("extract", cluster_extract, self.particles, rng)
         return n_hat, states, len(self.particles)
 
 
-class _EngmStepper:
+class _EngmStepper(_Stepper):
     def __init__(self, config: ScenarioConfig, rng: np.random.Generator):
         self.config = config
         dim = config.initial_targets.shape[1]
@@ -191,10 +205,10 @@ class _EngmStepper:
 
     def step(self, scan, rng):
         cfg = self.config
-        predicted = engm_predict(self.state, cfg.models, rng)
-        corrected = engm_update(predicted, scan, cfg.models)
-        self.state = engm_resample(corrected, cfg.budget, rng)
-        n_hat, states = engm_extract(corrected)
+        predicted = self._run("predict", engm_predict, self.state, cfg.models, rng)
+        corrected = self._run("update", engm_update, predicted, scan, cfg.models)
+        self.state = self._run("resample", engm_resample, corrected, cfg.budget, rng)
+        n_hat, states = self._run("extract", engm_extract, corrected)
         return n_hat, states, len(self.state.particles)
 
 
@@ -206,7 +220,8 @@ def run_filter(config: ScenarioConfig) -> list[StepRecord]:
 
     A numerical failure (NumericalCheckError, LinAlgError or
     FloatingPointError) aborts the run as FilterNumericalError, with the
-    failing step index attached; any other exception propagates as it is.
+    failing step index and stage attached; any other exception propagates
+    as it is.
     """
     rng_scan = np.random.default_rng(np.random.SeedSequence([config.seed, _SCAN_STREAM]))
     rng_filter = np.random.default_rng(np.random.SeedSequence([config.seed, _FILTER_STREAM]))
@@ -219,7 +234,7 @@ def run_filter(config: ScenarioConfig) -> list[StepRecord]:
         try:
             n_hat, extracted, n_components = stepper.step(scan, rng_filter)
         except (NumericalCheckError, np.linalg.LinAlgError, FloatingPointError) as exc:
-            raise FilterNumericalError(k, exc) from exc
+            raise FilterNumericalError(k, stepper.stage, exc) from exc
         elapsed = time.perf_counter() - started
         total, loc, card = ospa(extracted[:, :3] if extracted.size else extracted,
                                 truth[k][:, :3], config.ospa)

@@ -86,7 +86,7 @@ def test_criterion_1_reduction_to_reference_filter():
         # independent reference posterior: same propagation draws, then a
         # hand-rolled bank of extended Kalman corrections
         prop = propagate_state(states_ref, 1.0)
-        prop = prop + sample_psd_noise(models.motion.process_noise, budget, rng_ref)
+        prop = prop + sample_psd_noise(models.motion.noise_factor, budget, rng_ref)
         prior_cov = floor_covariance(
             silverman_bandwidth(6, budget) * np.atleast_2d(np.cov(prop.T, ddof=1)))
         ref_w = np.empty(budget)

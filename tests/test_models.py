@@ -67,18 +67,39 @@ def test_sample_psd_noise_zero_cov_consumes_stream():
     # downstream call sequences stay aligned
     rng_a = np.random.default_rng(9)
     rng_b = np.random.default_rng(9)
-    out = sample_psd_noise(np.zeros((6, 6)), 4, rng_a)
+    out = sample_psd_noise(MotionModel(process_noise=np.zeros((6, 6))).noise_factor, 4, rng_a)
     assert np.all(out == 0.0)
-    sample_psd_noise(np.eye(6), 4, rng_b)
+    sample_psd_noise(MotionModel(process_noise=np.eye(6)).noise_factor, 4, rng_b)
     assert rng_a.random() == rng_b.random()
 
 
 def test_sample_psd_noise_covariance():
     rng = np.random.default_rng(17)
     q = dwna_process_noise(1.0, 1.0)
-    draws = sample_psd_noise(q, 40000, rng)
+    draws = sample_psd_noise(MotionModel(process_noise=q).noise_factor, 40000, rng)
     assert draws.mean(axis=0) == pytest.approx(np.zeros(6), abs=0.05)
     assert np.cov(draws.T, ddof=1) == pytest.approx(q, abs=0.05)
+
+
+def _rank_four_psd():
+    a = np.random.default_rng(21).standard_normal((6, 4))
+    return a @ a.T
+
+
+@pytest.mark.parametrize("q", [dwna_process_noise(1.0, 0.05), dwna_process_noise(2.5, 1.3),
+                               _rank_four_psd()], ids=["default", "dwna-2.5", "rank-4"])
+def test_sample_psd_noise_equals_the_eigendecomposition_draw(q):
+    # the factor taken once when the model is built gives, bit for bit, the
+    # draws of the eigendecomposition that used to be taken on every call
+    factor = MotionModel(process_noise=q).noise_factor
+    for seed in range(5):
+        rng_a = np.random.default_rng(seed)
+        rng_b = np.random.default_rng(seed)
+        got = sample_psd_noise(factor, 250, rng_a)
+        z = rng_b.standard_normal((250, 6))
+        vals, vecs = np.linalg.eigh(q)
+        assert np.array_equal(got, z * np.sqrt(np.clip(vals, 0.0, None)) @ vecs.T)
+        assert rng_a.random() == rng_b.random()
 
 
 def test_motion_model_validation():
@@ -199,6 +220,25 @@ def test_birth_model_checks_its_covariance():
         BirthModel(mean=np.zeros(5))
     with pytest.raises(ValueError, match="birth mean"):
         BirthModel(cov=np.eye(5))
+
+
+@pytest.mark.parametrize("birth", [
+    BirthModel(),
+    BirthModel(cov=np.cov(np.random.default_rng(8).standard_normal((6, 40))) * 100.0,
+               count_per_step=7),
+], ids=["default", "full-cov"])
+def test_sample_birth_states_equals_multivariate_normal(birth):
+    # the factor taken once when the model is built is numpy's own, so the
+    # draws and the generator state after them are those of numpy's draw
+    for seed in range(5):
+        rng_a = np.random.default_rng(seed)
+        rng_b = np.random.default_rng(seed)
+        got = sample_birth_states(birth, rng_a)
+        want = rng_b.multivariate_normal(birth.mean, birth.cov, size=birth.count_per_step,
+                                         method="eigh")
+        assert np.array_equal(got, want)
+        assert np.array_equal(sample_birth_states(birth, rng_a), sample_birth_states(birth, rng_b))
+        assert rng_a.random() == rng_b.random()
 
 
 def test_sample_birth_states_moments():

@@ -305,7 +305,7 @@ def test_engmf_step_against_hand_built_posterior():
     # reference: same propagation draws, then a hand-rolled correction
     j = len(states)
     prop = propagate_state(states, 1.0)
-    prop = prop + sample_psd_noise(models.motion.process_noise, j, rng_ref)
+    prop = prop + sample_psd_noise(models.motion.noise_factor, j, rng_ref)
     prior_cov = floor_covariance(
         silverman_bandwidth(6, j) * np.atleast_2d(np.cov(prop.T, ddof=1)))
     r = meas.noise_cov

@@ -18,6 +18,7 @@ from phdtrack.models import (
 )
 from phdtrack.phd_smc import (
     ParticleSet,
+    _scan_log_likelihoods,
     cluster_extract,
     kmeans_cluster,
     smc_predict,
@@ -119,6 +120,23 @@ def test_update_uses_clutter_intensity_at_each_measurement():
     assert updated.weights == pytest.approx(expected, rel=1e-9)
     flat = (1 - p_d) * w + (contrib / (6.25e-7 + contrib.sum(axis=0))).sum(axis=1)
     assert abs(flat[2] / expected[2] - 1.0) > 0.05
+
+
+def test_scan_log_likelihoods_match_scipy_for_a_full_noise_covariance():
+    from scipy.stats import multivariate_normal
+
+    rng = np.random.default_rng(12)
+    a = rng.standard_normal((3, 3))
+    r = a @ a.T + 0.5 * np.eye(3)
+    h = np.hstack([rng.standard_normal((3, 3)), np.zeros((3, 3))])
+    meas = LinearMeasurementModel(h, r)
+    states = rng.standard_normal((40, 6)) * 3.0
+    z = meas.measure(states[:5]) + rng.standard_normal((5, 3))
+    got = _scan_log_likelihoods(states, MeasurementScan(z), meas)
+    assert got.shape == (40, 5)
+    want = np.array([multivariate_normal.logpdf(z, mean=eta, cov=r)
+                     for eta in meas.measure(states)])
+    assert got == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
 def test_update_unexplained_measurement_is_ignored():

@@ -12,6 +12,7 @@ from phdtrack.models import (
     MotionModel,
     dwna_process_noise,
 )
+from phdtrack.phd_gm import GmPhdConfig
 from phdtrack.scenario import (
     FILTER_KINDS,
     FilterNumericalError,
@@ -151,14 +152,18 @@ def test_budget_sizes_every_filter(kind):
         assert sizes == [5] * 100
 
 
-@pytest.mark.parametrize("kind, births", [
-    pytest.param(kind, births, id=kind if births else f"{kind}-no-births")
+@pytest.mark.parametrize("kind, births, prune", [
+    pytest.param(kind, births, prune,
+                 id=(kind if births else f"{kind}-no-births") + ("-prune-0" if prune == 0 else ""))
+    for prune in (GmPhdConfig().prune_threshold, 0.0)
     for births in (10, 0) for kind in FILTER_KINDS
 ])
-def test_zero_mass_correction_keeps_the_filter_dark(kind, births):
+def test_zero_mass_correction_keeps_the_filter_dark(kind, births, prune):
     """No targets, no clutter and certain detection: every correction has
-    zero mass, so every step's intensity is empty, with births or without."""
+    zero mass, so every step's intensity is empty, with births or without,
+    at the default prune threshold and at 0."""
     config = ScenarioConfig(initial_targets=np.zeros((0, 6)), t_end=5.0, filter_kind=kind,
+                            gm=GmPhdConfig(prune_threshold=prune),
                             models=Models(birth=BirthModel(count_per_step=births),
                                           clutter=ClutterModel(rate=0.0),
                                           detection=DetectionSurvival(p_detect=1.0)))
@@ -190,12 +195,13 @@ def test_summary_window_mean_is_inclusive():
 
 
 def test_run_record_failure_flag():
-    rec = RunRecord(0, 0, "engm", [], error="numerical failure at step 3: boom")
+    rec = RunRecord(0, 0, "engm", [], error="numerical failure at step 3, stage update: boom")
     assert rec.failed
     assert not RunRecord(0, 0, "engm", []).failed
-    err = FilterNumericalError(3, ValueError("boom"))
+    err = FilterNumericalError(3, "update", ValueError("boom"))
     assert err.step == 3
-    assert "step 3" in str(err)
+    assert err.stage == "update"
+    assert "step 3, stage update: boom" in str(err)
 
 
 def _negative_definite(covs):
@@ -234,24 +240,43 @@ def _unchecked_corrected_mixture(monkeypatch):
     monkeypatch.setattr(scenario, "gm_update", update)
 
 
-@pytest.mark.parametrize("kind, corrupt", [
+@pytest.mark.parametrize("kind, corrupt, stage", [
     # gm_predict: the survivor covariances F P F' + Q
-    ("gm", _bad_process_noise),
+    ("gm", _bad_process_noise, "predict"),
     # gm_update (engm_update too): the posterior covariances of the measurement blocks
-    ("gm", _bad_floor("phdtrack.phd_gm.floor_covariances")),
-    ("engm", _bad_floor("phdtrack.phd_gm.floor_covariances")),
+    ("gm", _bad_floor("phdtrack.phd_gm.floor_covariances"), "update"),
+    ("engm", _bad_floor("phdtrack.phd_gm.floor_covariances"), "update"),
     # prune_merge_cap: the merged covariances
-    ("gm", _unchecked_corrected_mixture),
+    ("gm", _unchecked_corrected_mixture, "manage"),
     # kde_from_particles: one kernel per part
-    ("engm", _bad_floor("phdtrack.gaussmix.floor_covariances")),
+    ("engm", _bad_floor("phdtrack.gaussmix.floor_covariances"), "predict"),
 ], ids=["gm-predict", "gm-update", "engm-update", "gm-merge", "engm-kde"])
-def test_run_filter_reports_a_bad_computed_covariance(monkeypatch, kind, corrupt):
+def test_run_filter_reports_a_bad_computed_covariance(monkeypatch, kind, corrupt, stage):
     overrides = corrupt(monkeypatch) or {}
     with pytest.raises(FilterNumericalError) as info:
         run_filter(tiny_config(filter_kind=kind, **overrides))
     assert info.value.step == 1
+    assert info.value.stage == stage
+    assert f"step 1, stage {stage}:" in str(info.value)
     assert type(info.value.__cause__) is NumericalCheckError
     assert "PSD" in str(info.value)
+
+
+@pytest.mark.parametrize("kind, name, stage", [
+    ("gm", "gm_extract", "extract"), ("smc", "smc_resample", "resample"),
+    ("smc", "cluster_extract", "extract"), ("engm", "engm_resample", "resample"),
+])
+def test_run_filter_names_the_failing_stage(monkeypatch, kind, name, stage):
+    # the stages that no corrupted covariance reaches above
+    import phdtrack.scenario as scenario
+
+    def broken(*args):
+        raise NumericalCheckError("bad mass")
+
+    monkeypatch.setattr(scenario, name, broken)
+    with pytest.raises(FilterNumericalError, match=f"step 1, stage {stage}: bad mass") as info:
+        run_filter(tiny_config(filter_kind=kind))
+    assert info.value.stage == stage
 
 
 @pytest.mark.parametrize("kind, stage", [
@@ -269,20 +294,25 @@ def test_run_filter_lets_a_programming_error_through(monkeypatch, kind, stage):
         run_filter(tiny_config(filter_kind=kind))
 
 
-@pytest.mark.parametrize("kind", ["gm", "engm"])
+@pytest.mark.parametrize("kind", ["gm", "smc", "engm"])
 def test_seeded_run_takes_no_eigendecomposition(monkeypatch, kind):
     # a check that passes, and a floor that has nothing to do, each cost
-    # one Cholesky factorization; eigenvalues only decide a failed one
+    # one Cholesky factorization; eigenvalues only decide a failed one.
+    # The process noise and the birth covariance are factored once, when
+    # the models are built, so the config is built before counting.
+    config = ScenarioConfig(t_end=20.0, seed=0, filter_kind=kind, runs=1)
     calls = []
-    real = np.linalg.eigvalsh
 
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return real(*args, **kwargs)
+    def counted(real):
+        def count(*args, **kwargs):
+            calls.append(real.__name__)
+            return real(*args, **kwargs)
+        return count
 
-    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
-    run_filter(ScenarioConfig(t_end=20.0, seed=0, filter_kind=kind, runs=1))
-    assert len(calls) == 0
+    for name in ("eigvalsh", "eigh"):
+        monkeypatch.setattr(np.linalg, name, counted(getattr(np.linalg, name)))
+    run_filter(config)
+    assert calls == []
 
 # Per-step outputs of the reference scenario (seed 0, first 20 steps):
 # n_hat, OSPA and component count.  n_hat and OSPA were recorded before
