@@ -131,48 +131,64 @@ def _kmeans_seed(points: np.ndarray, k: int, rng: np.random.Generator) -> np.nda
     n = points.shape[0]
     centers = np.empty((k, points.shape[1]))
     centers[0] = points[rng.integers(n)]
-    d2 = np.sum((points - centers[0]) ** 2, axis=1)
+    d2 = np.full(n, np.inf)
     for j in range(1, k):
+        d2 = np.minimum(d2, np.sum((points - centers[j - 1]) ** 2, axis=1))
         if d2.sum() <= 0.0:
             centers[j:] = points[rng.integers(n, size=k - j)]
             break
         centers[j] = points[select_by_weight(d2, rng.random())]
-        d2 = np.minimum(d2, np.sum((points - centers[j]) ** 2, axis=1))
     return centers
 
 
 def kmeans_cluster(points: np.ndarray, k: int, rng: np.random.Generator,
                    restarts: int = 5, iters: int = 20) -> np.ndarray:
-    """Cluster points into k centers; best of `restarts` seeded Lloyd runs."""
+    """Cluster points into k centers; best of `restarts` seeded Lloyd runs.
+
+    All restarts are seeded first, in order; Lloyd's iterations draw
+    nothing, and run the live restarts as one batch until each one's
+    assignment repeats.  A squared distance sums its coordinates in order,
+    a center its points in order over their count.  The first restart of
+    least finite score wins; NumericalCheckError if none is finite.
+    """
+    if min(k, restarts, iters) < 1:
+        raise ValueError(f"k, restarts and iters must be >= 1, got {k}, {restarts}, {iters}")
     points = np.asarray(points, dtype=float)
-    n = points.shape[0]
+    n, dim = points.shape
     if k >= n:
         return points.copy()
-    best_centers = None
-    best_score = np.inf
-    for _ in range(restarts):
-        centers = _kmeans_seed(points, k, rng)
-        assign = None
-        for _ in range(iters):
-            d2 = np.sum((points[:, None, :] - centers[None, :, :]) ** 2, axis=2)
-            new_assign = d2.argmin(axis=1)
+    centers = np.stack([_kmeans_seed(points, k, rng) for _ in range(restarts)])
+    assign = np.full((restarts, n), -1)
+    live = np.arange(restarts)
+    coords = points.T.copy()
+    for _ in range(iters):
+        # (live, k, n): the coordinate axis first, so it is summed in order
+        diff = coords[:, None, None] - centers[live].transpose(2, 0, 1)[..., None]
+        d2 = np.sum(diff ** 2, axis=0)
+        new_assign = d2.argmin(axis=1)
+        bins = np.arange(live.size)[:, None] * k + new_assign
+        counts = np.bincount(bins.ravel(), minlength=live.size * k).reshape(-1, k)
+        sums = np.bincount((bins[:, :, None] * dim + np.arange(dim)).ravel(),
+                           np.tile(points.ravel(), live.size), live.size * k * dim)
+        means = sums.reshape(-1, k, dim) / np.maximum(counts, 1)[:, :, None]
+        for row in np.flatnonzero((counts == 0).any(axis=1)):
+            labels = new_assign[row]
             for j in range(k):
-                sel = new_assign == j
-                if np.any(sel):
-                    centers[j] = points[sel].mean(axis=0)
-                else:
+                if not np.any(labels == j):
                     # revive an empty cluster at the worst-fit point
-                    worst = d2[np.arange(n), new_assign].argmax()
-                    centers[j] = points[worst]
-                    new_assign[worst] = j
-            if assign is not None and np.array_equal(assign, new_assign):
-                break
-            assign = new_assign
-        score = np.sum((points - centers[assign]) ** 2)
-        if score < best_score:
-            best_score = score
-            best_centers = centers.copy()
-    return best_centers
+                    labels[d2[row, labels, np.arange(n)].argmax()] = j
+                means[row, j] = points[labels == j].mean(axis=0)
+        moved = np.any(new_assign != assign[live], axis=1)
+        centers[live], assign[live] = means, new_assign
+        live = live[moved]
+        if not live.size:
+            break
+    scores = np.sum((points - centers[np.arange(restarts)[:, None], assign]) ** 2, axis=(1, 2))
+    scores[~np.isfinite(scores)] = np.inf
+    best = scores.argmin()
+    if scores[best] == np.inf:
+        raise NumericalCheckError("k-means: no restart has a finite score")
+    return centers[best]
 
 
 def cluster_extract(particles: ParticleSet,
@@ -182,7 +198,8 @@ def cluster_extract(particles: ParticleSet,
     The cardinality estimate is the total mass rounded half-up; that many
     k-means cluster centers are returned as the state estimates (every
     particle when there are fewer).  Zero estimated targets, as from the
-    empty cloud, yields an empty (0, n) state array.
+    empty cloud, yields an empty (0, n) state array.  k-means draws only
+    its seeds, restart by restart, however its Lloyd iterations batch.
     """
     n_hat = int(np.floor(particles.mass + 0.5))
     if n_hat == 0:

@@ -1,10 +1,12 @@
 """Particle intensity filter: prediction, reweighting, resampling, clustering."""
 
-from dataclasses import replace
+from collections import Counter
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
+from phdtrack import phd_smc
 from phdtrack.gaussmix import select_by_weight
 from phdtrack.models import (
     BirthModel,
@@ -25,6 +27,7 @@ from phdtrack.phd_smc import (
     smc_resample,
     smc_update,
 )
+from phdtrack.scenario import ScenarioConfig, run_filter
 
 
 def linear_models(p_detect=1.0, clutter_rate=0.0, birth_count=0):
@@ -298,3 +301,104 @@ def test_cluster_extract_caps_centers_at_cloud_size():
     n_hat, extracted = cluster_extract(ParticleSet(states, np.full(3, 2.0)), rng)
     assert n_hat == 6
     assert extracted.shape == (3, 6)
+
+
+@pytest.mark.parametrize("k, restarts, iters", [(0, 5, 20), (2, 0, 20), (2, 5, 0), (-1, 5, 20)])
+def test_kmeans_rejects_bad_arguments(k, restarts, iters):
+    points = np.arange(12.0).reshape(6, 2)
+    with pytest.raises(ValueError, match="must be >= 1"):
+        kmeans_cluster(points, k, np.random.default_rng(0), restarts=restarts, iters=iters)
+
+
+# The oracle for the batched k-means: _kmeans_seed and kmeans_cluster as
+# they were when each restart ran its own Lloyd loop, verbatim apart from
+# the two counters in `hits`, which show the corpus reaches the degenerate
+# seeding branch and the empty-cluster revival.
+def reference_kmeans_seed(points, k, rng, hits):
+    n = points.shape[0]
+    centers = np.empty((k, points.shape[1]))
+    centers[0] = points[rng.integers(n)]
+    d2 = np.sum((points - centers[0]) ** 2, axis=1)
+    for j in range(1, k):
+        if d2.sum() <= 0.0:
+            hits["degenerate_seed"] += 1
+            centers[j:] = points[rng.integers(n, size=k - j)]
+            break
+        centers[j] = points[select_by_weight(d2, rng.random())]
+        d2 = np.minimum(d2, np.sum((points - centers[j]) ** 2, axis=1))
+    return centers
+
+
+def reference_kmeans_cluster(points, k, rng, restarts=5, iters=20, hits=None):
+    hits = Counter() if hits is None else hits
+    points = np.asarray(points, dtype=float)
+    n = points.shape[0]
+    if k >= n:
+        return points.copy()
+    best_centers = None
+    best_score = np.inf
+    for _ in range(restarts):
+        centers = reference_kmeans_seed(points, k, rng, hits)
+        assign = None
+        for _ in range(iters):
+            d2 = np.sum((points[:, None, :] - centers[None, :, :]) ** 2, axis=2)
+            new_assign = d2.argmin(axis=1)
+            for j in range(k):
+                sel = new_assign == j
+                if np.any(sel):
+                    centers[j] = points[sel].mean(axis=0)
+                else:
+                    hits["revive"] += 1
+                    # revive an empty cluster at the worst-fit point
+                    worst = d2[np.arange(n), new_assign].argmax()
+                    centers[j] = points[worst]
+                    new_assign[worst] = j
+            if assign is not None and np.array_equal(assign, new_assign):
+                break
+            assign = new_assign
+        score = np.sum((points - centers[assign]) ** 2)
+        if score < best_score:
+            best_score = score
+            best_centers = centers.copy()
+    return best_centers
+
+
+def test_kmeans_matches_the_per_restart_oracle():
+    # small clouds of duplicated points at scales 1e-3 to 1e3, some snapped
+    # to a grid so that distances tie, in two to six coordinates (smc's
+    # states have six).  numpy sums the oracle's distances and means in
+    # order for 2 to 7 coordinates only: a 1-D mean, and a distance over 8
+    # or more coordinates, it sums pairwise
+    gen = np.random.default_rng(20251019)
+    hits = Counter()
+    for case in range(1500):
+        n, k, dim = int(gen.integers(2, 15)), int(gen.integers(1, 5)), int(gen.integers(2, 7))
+        scale = 10.0 ** gen.uniform(-3.0, 3.0)
+        distinct = gen.standard_normal((int(gen.integers(1, n + 1)), dim)) * scale
+        points = distinct[gen.integers(len(distinct), size=n)]
+        if case % 3 == 0:
+            points = np.round(points / scale) * scale
+        restarts, iters = [(5, 20), (1, 20), (3, 1), (2, 2)][case % 4]
+        want_rng, got_rng = np.random.default_rng(case), np.random.default_rng(case)
+        want = reference_kmeans_cluster(points, k, want_rng, restarts, iters, hits)
+        got = kmeans_cluster(points, k, got_rng, restarts, iters)
+        assert np.array_equal(got, want), case
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state, case
+    print(f"oracle hits: {dict(hits)}")
+    assert hits["revive"] > 0
+    assert hits["degenerate_seed"] > 0
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+def test_smc_run_matches_the_per_restart_oracle(monkeypatch, seed):
+    # cluster_extract calls kmeans_cluster through the module global
+    config = ScenarioConfig(t_end=100.0, seed=seed, filter_kind="smc", runs=1,
+                            models=Models(clutter=ClutterModel(rate=0.0)))
+    got = run_filter(config)
+    monkeypatch.setattr(phd_smc, "kmeans_cluster", reference_kmeans_cluster)
+    want = run_filter(config)
+    assert len(got) == len(want) == 100
+    for g, w in zip(got, want):
+        for field in fields(g):
+            if field.name != "wall_time":
+                assert np.array_equal(getattr(g, field.name), getattr(w, field.name)), (g.k, field)

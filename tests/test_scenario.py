@@ -13,6 +13,7 @@ from phdtrack.models import (
     dwna_process_noise,
 )
 from phdtrack.phd_gm import GmPhdConfig
+from phdtrack.phd_smc import ParticleSet
 from phdtrack.scenario import (
     FILTER_KINDS,
     FilterNumericalError,
@@ -277,6 +278,23 @@ def test_run_filter_names_the_failing_stage(monkeypatch, kind, name, stage):
     with pytest.raises(FilterNumericalError, match=f"step 1, stage {stage}: bad mass") as info:
         run_filter(tiny_config(filter_kind=kind))
     assert info.value.stage == stage
+
+
+def test_run_filter_reports_overflowing_kmeans_at_extract(monkeypatch):
+    # finite states around 1e160: every squared distance overflows, so no
+    # k-means restart has a finite score, and the failure is extract's
+    import phdtrack.scenario as scenario
+
+    def far_cloud(*args):
+        states = np.random.default_rng(5).standard_normal((50, 6)) * 1e160
+        return ParticleSet(states, np.full(50, 0.04))
+
+    monkeypatch.setattr(scenario, "smc_resample", far_cloud)
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(FilterNumericalError) as info:
+        run_filter(tiny_config(filter_kind="smc"))
+    assert (info.value.step, info.value.stage) == (1, "extract")
+    assert type(info.value.__cause__) is NumericalCheckError
+    assert "finite score" in str(info.value)
 
 
 @pytest.mark.parametrize("kind, stage", [
