@@ -47,6 +47,8 @@ SYMMETRY_TOL = 1e-10
 EIG_TOL = -1e-10
 FLOOR_SCALE = 1e-9
 
+# exp(x) is exactly 0.0 below about -745.13, where numpy's exp is slow
+EXP_UNDERFLOW = -746.0
 
 class NumericalCheckError(ValueError):
     """A check on the numbers a recursion computed failed: a covariance, a mass, a weight."""
@@ -261,6 +263,11 @@ def kde_from_particles(states: np.ndarray, mass: float,
     return GaussianMixture._assemble(np.full(j, mass / j), states.copy(), kernels[inverse], parts)
 
 
+def exp_skip_underflow(x: np.ndarray) -> np.ndarray:
+    """np.exp(x), bit for bit, skipping the entries at or below EXP_UNDERFLOW."""
+    return np.exp(x, out=np.zeros_like(x), where=~(x <= EXP_UNDERFLOW))
+
+
 def eval_gaussian(x: np.ndarray, mean: np.ndarray, cov: np.ndarray) -> float:
     """Multivariate normal density N(x; mean, cov).
 
@@ -288,10 +295,13 @@ def select_by_weight(weights: np.ndarray, us: np.ndarray) -> np.ndarray:
     beyond the final sum.  A zero weight is never picked, not even by
     u = 0.  Normalizing by the sum of all weights and skipping the zeros
     leaves every cumulative sum as it is over all weights, since adding
-    0.0 is exact.
+    0.0 is exact.  A sum that overflows is NumericalCheckError.
     """
+    total = np.sum(weights)
+    if not np.isfinite(total):
+        raise NumericalCheckError(f"weights must have a finite sum, got {total}")
     live = np.flatnonzero(weights > 0)
-    cum = np.cumsum(weights[live] / np.sum(weights))
+    cum = np.cumsum(weights[live] / total)
     return live[np.minimum(np.searchsorted(cum, us, side="left"), live.size - 1)]
 
 

@@ -7,9 +7,9 @@ transition matrix F(dt): the Gaussian-mixture filter moves its means with
 it and the particle filters move their particles with it.  The
 measurement is a radar return (range, azimuth, elevation) with additive
 Gaussian noise.  Angles are radians everywhere in code; degrees
-appear only at the configuration boundary.  The fixed covariances that
-are drawn from, the process noise and the birth covariance, are
-factored once, when the model is built, and every draw reuses the factor.
+appear only at the configuration boundary.  Each fixed covariance (the
+process noise, the birth covariance and the measurement noise R) is
+factored once, when its model is built, and every use reuses the factor.
 """
 
 from __future__ import annotations
@@ -77,19 +77,32 @@ def sample_psd_noise(factor: PsdFactor, count: int, rng: np.random.Generator) ->
 
 
 def wrap_angle(theta):
-    """Wrap angles to the principal interval, elementwise."""
-    return (np.asarray(theta) + np.pi) % TWO_PI - np.pi
+    """Principal values of angles, elementwise, by wrap_angular's rule."""
+    return wrap_angular(np.array(theta, dtype=float)[..., None], [True])[..., 0][()]
 
 
 def wrap_angular(x: np.ndarray, angular: np.ndarray) -> np.ndarray:
     """Wrap the angular columns (mask `angular`) of x (..., dim) in place; returns x.
 
-    Each column is indexed by its integer position, as a view, not by a
-    boolean mask on the last axis, which copies.
+    The package's one wrap rule: an angle in [-pi, pi] is its own principal
+    value and keeps its bits; only the others are remapped into [-pi, pi).
+    Each column is indexed by its integer position, as a view (x may be a
+    transposed view), not by a boolean mask on the last axis, which copies.
     """
     for col in np.flatnonzero(angular):
-        x[..., col] = wrap_angle(x[..., col])
+        theta = x[..., col]
+        out = np.abs(theta) > np.pi
+        theta[out] = (theta[out] + np.pi) % TWO_PI - np.pi
     return x
+
+
+def _whiten(noise_cov: np.ndarray) -> tuple[np.ndarray, float]:
+    """(W, log_norm) with W = L^-1 for R = L L', so that log N(z; eta, R) =
+    log_norm - |W (z - eta)|^2 / 2.  A ValueError unless R is positive definite."""
+    check_covariances(noise_cov[None])
+    chol = np.linalg.cholesky(noise_cov)  # LinAlgError, a ValueError, unless R is PD
+    log_norm = -0.5 * noise_cov.shape[0] * np.log(TWO_PI) - np.log(np.diag(chol)).sum()
+    return np.tril(np.linalg.inv(chol)), log_norm
 
 
 @dataclass(frozen=True)
@@ -140,6 +153,7 @@ class RadarMeasurementModel:
             raise ValueError("measurement sigmas must be > 0")
         self.sigmas = np.array([sigma_range, sigma_azimuth, sigma_elevation])
         self.noise_cov = np.diag(self.sigmas ** 2)
+        self.whitener, self.log_norm = _whiten(self.noise_cov)
 
     def measure(self, x: np.ndarray) -> np.ndarray:
         """Map states (..., >=3) to measurements (..., 3).  Errors at the origin."""
@@ -204,6 +218,7 @@ class LinearMeasurementModel:
         self.angular = np.zeros(self.dim, dtype=bool)
         if self.noise_cov.shape != (self.dim, self.dim):
             raise ValueError("noise covariance does not match measurement dimension")
+        self.whitener, self.log_norm = _whiten(self.noise_cov)
         self.sigmas = np.sqrt(np.diag(self.noise_cov))
 
     def measure(self, x: np.ndarray) -> np.ndarray:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import models as _models
-from .gaussmix import GaussianMixture, check_covariances, floor_covariances
+from .gaussmix import GaussianMixture, check_covariances, exp_skip_underflow, floor_covariances
 
 # Candidate seeds per batch of merge distances.  The greedy loop does no
 # linear algebra at any size from 16 to 64; 64 added about 1.3 MB of
@@ -138,7 +138,7 @@ def gm_update(prior: GaussianMixture, scan: "_models.MeasurementScan",
         innov = _models.wrap_angular(scan.values[None, :, :] - eta[:, None, :], meas.angular)
         quad = np.sum((innov @ s_inv) * innov, axis=-1).T
         log_norm = r.shape[0] * np.log(2.0 * np.pi) + log_det
-        like = np.exp(-0.5 * (quad + log_norm))
+        like = exp_skip_underflow(-0.5 * (quad + log_norm))
         like[:, ~ok] = 0.0
         numer = p_d * w * like
         denom = kappa + numer.sum(axis=1)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import models as _models
-from .gaussmix import NumericalCheckError, select_by_weight
+from .gaussmix import NumericalCheckError, exp_skip_underflow, select_by_weight
 
 
 @dataclass(frozen=True)
@@ -73,15 +73,19 @@ def smc_predict(posterior: ParticleSet, models: "_models.Models",
 
 def _scan_log_likelihoods(states: np.ndarray, scan: "_models.MeasurementScan",
                           measurement) -> np.ndarray:
-    """log N(z; h(x), R) for every particle/measurement pair, shape (J, M)."""
-    z = scan.values
-    eta = measurement.measure(states)
-    innov = _models.wrap_angular(z[None, :, :] - eta[:, None, :], measurement.angular)
-    r = measurement.noise_cov
-    # one 3x3 inverse per scan: R is fixed, and every pair shares it
-    quad = np.sum((innov @ np.linalg.inv(r)) * innov, axis=-1)
-    _, log_det = np.linalg.slogdet(r)
-    return -0.5 * (quad + r.shape[0] * np.log(2.0 * np.pi) + log_det)
+    """log N(z; h(x), R) for every particle/measurement pair, shape (J, M).
+
+    The innovations are d coordinate planes (M, J), particles innermost;
+    one GEMM by R's whitener whitens them all, and the result is a
+    transposed view of the (M, J) log-likelihoods.
+    """
+    # contiguous rows: a strided eta makes the plane subtraction ~3x slower
+    eta = np.ascontiguousarray(measurement.measure(states).T)
+    innov = scan.values.T[:, :, None] - eta[:, None, :]
+    _models.wrap_angular(innov.T, measurement.angular)
+    white = measurement.whitener @ innov.reshape(len(innov), -1)
+    quad = np.einsum("ij,ij->j", white, white)
+    return (measurement.log_norm - 0.5 * quad).reshape(len(scan), -1).T
 
 
 def smc_update(predicted: ParticleSet, scan: "_models.MeasurementScan",
@@ -93,19 +97,19 @@ def smc_update(predicted: ParticleSet, scan: "_models.MeasurementScan",
     normalized against the clutter intensity at that measurement,
     kappa(z), plus the cloud's total likelihood.  A measurement that no
     particle (and no clutter) can explain contributes nothing rather than
-    dividing by zero.
+    dividing by zero.  The evidence is held as (M, J), particles innermost.
     """
     p_d = models.detection.p_detect
     w = predicted.weights
     out = (1.0 - p_d) * w
     if len(scan) and len(predicted):
-        like = np.exp(_scan_log_likelihoods(predicted.states, scan, models.measurement))
-        contrib = p_d * w[:, None] * like
+        log_like = _scan_log_likelihoods(predicted.states, scan, models.measurement).T
+        contrib = exp_skip_underflow(log_like) * (p_d * w)
         kappa = models.clutter.intensity(scan.values, models.measurement)
-        denom = kappa + contrib.sum(axis=0)
+        denom = kappa + contrib.sum(axis=1)
         ok = denom > 0.0
         if np.any(ok):
-            out = out + (contrib[:, ok] / denom[ok]).sum(axis=1)
+            out = out + (contrib[ok] / denom[ok, None]).sum(axis=0)
     return ParticleSet(predicted.states, out)
 
 

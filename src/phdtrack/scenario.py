@@ -50,6 +50,7 @@ class ScenarioConfig:
     A run covers t in [0, t_end] in steps of models.motion.dt, the step
     the filters predict over, so truth and filters share one clock.  The
     budget sizes the smc and engm clouds and caps gm's managed mixture.
+    A truth that no scan can measure, as at the radar's origin, is a ValueError.
     """
 
     initial_targets: np.ndarray = field(default_factory=_default_targets)
@@ -73,6 +74,15 @@ class ScenarioConfig:
             raise ValueError("budget must be >= 1")
         if self.runs < 1:
             raise ValueError("runs must be >= 1")
+        truth = simulate_truth(self)[1:]
+        try:
+            self.models.measurement.measure(truth)
+        except ValueError:
+            for k, i in np.ndindex(truth.shape[:2]):  # name the first that fails
+                try:
+                    self.models.measurement.measure(truth[k, i])
+                except ValueError as exc:
+                    raise ValueError(f"target {i} at step {k + 1}: {exc}") from None
 
     @property
     def n_steps(self) -> int:
@@ -126,12 +136,9 @@ class FilterNumericalError(RuntimeError):
 def simulate_truth(config: ScenarioConfig) -> np.ndarray:
     """Noise-free target states at every sample time, shape (K + 1, T, 6)."""
     x0 = config.initial_targets
-    steps = config.n_steps
-    out = np.empty((steps + 1, x0.shape[0], x0.shape[1]))
-    for k in range(steps + 1):
-        t = k * config.models.motion.dt
-        out[k, :, :3] = x0[:, :3] + t * x0[:, 3:]
-        out[k, :, 3:] = x0[:, 3:]
+    t = np.arange(config.n_steps + 1)[:, None, None] * config.models.motion.dt
+    out = np.repeat(x0[None], len(t), axis=0)
+    out[..., :3] += t * x0[:, 3:]
     return out
 
 

@@ -7,16 +7,19 @@ from hypothesis import strategies as st
 
 from phdtrack.gaussmix import (
     EIG_TOL,
+    EXP_UNDERFLOW,
     FLOOR_SCALE,
     GaussianMixture,
     NumericalCheckError,
     check_covariances,
     eval_gaussian,
+    exp_skip_underflow,
     floor_covariance,
     floor_covariances,
     kde_from_particles,
     sample_mixture,
     sample_mixture_indexed,
+    select_by_weight,
     silverman_bandwidth,
 )
 
@@ -481,6 +484,23 @@ def test_selection_rule_ignores_scale_and_zero_weights():
     assert selected(list(np.full(10, 0.1)) + [0.0], [1.0]) == [9]
     with pytest.raises(ValueError, match="zero mass"):
         selected(np.zeros(3), [0.5])
+
+
+def test_selection_rule_rejects_weights_whose_sum_overflows():
+    # 1e308 + 1e308 is inf, so every normalized weight but the last would
+    # be 0 and each u would pick index 2
+    with np.errstate(over="ignore"), pytest.raises(NumericalCheckError, match="finite sum"):
+        select_by_weight(np.array([1e308, 1e308, 1.0]), np.array([0.1, 0.5, 0.9]))
+
+
+def test_exp_skip_underflow_is_exp_bit_for_bit():
+    # the grid crosses the subnormal band and the cut at EXP_UNDERFLOW
+    x = np.concatenate([np.linspace(-800.0, 0.0, 100_001), [EXP_UNDERFLOW, -745.13, -745.14]])
+    got = exp_skip_underflow(x)
+    assert np.array_equal(got.view(np.int64), np.exp(x).view(np.int64))
+    assert np.exp(EXP_UNDERFLOW) == 0.0
+    grid = x[:-3].reshape(11, -1)
+    assert np.array_equal(exp_skip_underflow(grid), np.exp(grid))
 
 
 def test_sample_mixture_selection_frequencies():

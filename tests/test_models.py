@@ -20,6 +20,7 @@ from phdtrack.models import (
     sample_psd_noise,
     transition_matrix,
     wrap_angle,
+    wrap_angular,
 )
 
 
@@ -132,6 +133,18 @@ def test_wrap_angle_principal_interval():
     assert np.all(many <= np.pi + 1e-12)
 
 
+def test_wrap_keeps_an_angle_in_range_bit_for_bit():
+    inside = np.concatenate([np.linspace(-np.pi, np.pi, 1001), [-np.pi, np.pi, -0.0]])
+    assert np.array_equal(wrap_angle(inside), inside)
+    # a transposed view, as smc's innovation planes, is wrapped in place
+    planes = np.array([[[0.1, 4.0], [-7.0, np.pi]], [[-3.5, 3.0], [2.0, -np.pi]]])
+    view = planes.transpose(1, 2, 0)
+    assert wrap_angular(view, np.array([True, False])) is view
+    assert planes[0] == pytest.approx(np.array([[0.1, 4.0 - 2 * np.pi], [-7.0 + 2 * np.pi, np.pi]]))
+    assert planes[0, 0, 0] == 0.1 and planes[0, 1, 1] == np.pi
+    assert np.array_equal(planes[1], [[-3.5, 3.0], [2.0, -np.pi]])
+
+
 def test_radar_measure_hand_values():
     meas = RadarMeasurementModel()
     z = meas.measure(np.array([3.0, 4.0, 0.0, 9.0, 9.0, 9.0]))
@@ -192,6 +205,31 @@ def test_linear_measurement_model():
     assert model.linearizable(np.zeros((4, 6))).all()
     with pytest.raises(ValueError):
         LinearMeasurementModel(h, np.eye(2))
+
+
+@pytest.mark.parametrize("r, message", [
+    (np.diag([1.0, 1.0, 0.0]), "positive definite"),
+    (np.diag([1.0, 1.0, -1.0]), "PSD"),
+    (np.array([[1.0, 0.5, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]), "symmetric"),
+    (np.diag([1.0, np.nan, 1.0]), "finite"),
+])
+def test_measurement_noise_must_be_positive_definite(r, message):
+    h = np.hstack([np.eye(3), np.zeros((3, 3))])
+    with pytest.raises(ValueError, match=message):
+        LinearMeasurementModel(h, r)
+
+
+def test_measurement_noise_is_whitened_once():
+    from scipy.stats import multivariate_normal
+
+    a = np.random.default_rng(3).standard_normal((3, 3))
+    r = a @ a.T + 0.5 * np.eye(3)
+    for model in (LinearMeasurementModel(np.eye(3, 6), r), RadarMeasurementModel()):
+        w = model.whitener
+        assert w @ model.noise_cov @ w.T == pytest.approx(np.eye(3), abs=1e-12)
+        assert np.array_equal(w, np.tril(w))
+        assert model.log_norm == pytest.approx(
+            multivariate_normal.logpdf(np.zeros(3), cov=model.noise_cov), rel=1e-14)
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
+from phdtrack import models as _models
 from phdtrack import phd_smc
 from phdtrack.gaussmix import select_by_weight
 from phdtrack.models import (
@@ -139,6 +140,85 @@ def test_scan_log_likelihoods_match_scipy_for_a_full_noise_covariance():
     assert got.shape == (40, 5)
     want = np.array([multivariate_normal.logpdf(z, mean=eta, cov=r)
                      for eta in meas.measure(states)])
+    assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+def _scan_log_likelihoods_pair_stack(states, scan, measurement):
+    """The likelihood as it was before the coordinate planes, kept as the
+    oracle: (J, M, d) innovations, R inverted per scan, one small matmul
+    per particle."""
+    z = scan.values
+    eta = measurement.measure(states)
+    innov = _models.wrap_angular(z[None, :, :] - eta[:, None, :], measurement.angular)
+    r = measurement.noise_cov
+    # one 3x3 inverse per scan: R is fixed, and every pair shares it
+    quad = np.sum((innov @ np.linalg.inv(r)) * innov, axis=-1)
+    _, log_det = np.linalg.slogdet(r)
+    return -0.5 * (quad + r.shape[0] * np.log(2.0 * np.pi) + log_det)
+
+
+def _smc_update_pair_stack(predicted, scan, models):
+    """smc_update as it was before the coordinate planes: (J, M) evidence."""
+    p_d = models.detection.p_detect
+    w = predicted.weights
+    out = (1.0 - p_d) * w
+    if len(scan) and len(predicted):
+        like = np.exp(_scan_log_likelihoods_pair_stack(predicted.states, scan,
+                                                        models.measurement))
+        contrib = p_d * w[:, None] * like
+        kappa = models.clutter.intensity(scan.values, models.measurement)
+        denom = kappa + contrib.sum(axis=0)
+        ok = denom > 0.0
+        if np.any(ok):
+            out = out + (contrib[:, ok] / denom[ok]).sum(axis=1)
+    return ParticleSet(predicted.states, out)
+
+
+@pytest.mark.parametrize("clutter_rate", [10.0, 0.0])
+def test_coordinate_planes_match_the_pair_stack_on_reference_scans(monkeypatch, clutter_rate):
+    # the reference scenario, and its clean variant, where smc tracks; a
+    # log-likelihood near the underflow cut, about -745, carries its few
+    # ulps of error into exp as about 1e-13 relative, hence 1e-12 on weights
+    import phdtrack.scenario as scenario
+
+    captured = []
+
+    def capture(predicted, scan, models):
+        captured.append((predicted, scan))
+        return smc_update(predicted, scan, models)
+
+    monkeypatch.setattr(scenario, "smc_update", capture)
+    models = Models(clutter=ClutterModel(rate=clutter_rate))
+    run_filter(ScenarioConfig(filter_kind="smc", t_end=15.0, seed=3, models=models))
+    assert sum(len(scan) for _, scan in captured) > (100 if clutter_rate else 20)
+    for predicted, scan in captured:
+        got = _scan_log_likelihoods(predicted.states, scan, models.measurement)
+        want = _scan_log_likelihoods_pair_stack(predicted.states, scan, models.measurement)
+        assert got.shape == (len(predicted), len(scan))
+        assert got == pytest.approx(want, rel=1e-13, abs=0.0)
+        assert smc_update(predicted, scan, models).weights == pytest.approx(
+            _smc_update_pair_stack(predicted, scan, models).weights, rel=1e-12, abs=0.0)
+
+
+def test_scan_log_likelihoods_across_the_azimuth_cut_match_scipy():
+    from scipy.stats import multivariate_normal
+
+    meas = Models().measurement
+    # particles and measurements on both sides of azimuth +-pi
+    ys = np.array([-0.9, -0.3, 0.0, 0.2, 0.8])
+    states = np.column_stack([np.full(5, -100.0), ys, np.full(5, 20.0), np.zeros((5, 3))])
+    z = meas.measure(states[[0, 4, 2]]) + np.array([[0.5, -0.015, 0.003],
+                                                    [-0.4, 0.012, 0.0],
+                                                    [0.0, 0.0, -0.004]])
+    z[:, 1] = (z[:, 1] + np.pi) % (2 * np.pi) - np.pi
+    assert z[0, 1] > 3.0 and z[1, 1] < -3.0
+    got = _scan_log_likelihoods(states, MeasurementScan(z), meas)
+    want = np.empty((5, 3))
+    for i, eta in enumerate(meas.measure(states)):
+        innov = z - eta
+        innov[:, 1] = (innov[:, 1] + np.pi) % (2 * np.pi) - np.pi
+        want[i] = multivariate_normal.logpdf(innov, cov=meas.noise_cov)
+    assert np.abs(want).max() < 200.0
     assert got == pytest.approx(want, rel=1e-12, abs=0.0)
 
 

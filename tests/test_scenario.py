@@ -55,6 +55,27 @@ def test_config_validation():
         ScenarioConfig(runs=0)
 
 
+AT_ORIGIN_AT_STEP_5 = np.array([[5.0, 5.0, 5.0, -1.0, -1.0, -1.0]])
+
+
+@pytest.mark.parametrize("targets, error", [
+    (AT_ORIGIN_AT_STEP_5, "target 0 at step 5: measurement undefined"),
+    (np.vstack([ScenarioConfig().initial_targets, AT_ORIGIN_AT_STEP_5]),
+     "target 2 at step 5: measurement undefined"),
+    # passes the origin at t = 5.5, between scans
+    (np.array([[5.5, 5.5, 5.5, -1.0, -1.0, -1.0]]), None),
+    (np.zeros((0, 6)), None),
+])
+def test_config_rejects_a_truth_no_scan_can_measure(targets, error):
+    if error is None:
+        ScenarioConfig(initial_targets=targets, t_end=10.0)
+    else:
+        with pytest.raises(ValueError, match=error):
+            ScenarioConfig(initial_targets=targets, t_end=10.0)
+        # a run that ends before the target gets there can measure it
+        ScenarioConfig(initial_targets=targets, t_end=4.0)
+
+
 def test_simulate_truth_closed_form():
     config = ScenarioConfig()
     truth = simulate_truth(config)
@@ -281,8 +302,9 @@ def test_run_filter_names_the_failing_stage(monkeypatch, kind, name, stage):
 
 
 def test_run_filter_reports_overflowing_kmeans_at_extract(monkeypatch):
-    # finite states around 1e160: every squared distance overflows, so no
-    # k-means restart has a finite score, and the failure is extract's
+    # finite states around 1e160: every squared distance overflows, so the
+    # k-means++ seeding draws from weights of infinite sum, which
+    # select_by_weight rejects, and the failure is extract's
     import phdtrack.scenario as scenario
 
     def far_cloud(*args):
@@ -294,7 +316,7 @@ def test_run_filter_reports_overflowing_kmeans_at_extract(monkeypatch):
         run_filter(tiny_config(filter_kind="smc"))
     assert (info.value.step, info.value.stage) == (1, "extract")
     assert type(info.value.__cause__) is NumericalCheckError
-    assert "finite score" in str(info.value)
+    assert "finite sum" in str(info.value)
 
 
 @pytest.mark.parametrize("kind, stage", [
