@@ -12,7 +12,6 @@ CLI sit on top.
 from .gaussmix import (
     GaussianMixture,
     NumericalCheckError,
-    eval_gaussian,
     kde_from_particles,
     sample_mixture,
     silverman_bandwidth,
@@ -36,7 +35,6 @@ from .phd_engm import (
     engm_predict,
     engm_resample,
     engm_update,
-    engmf_step,
 )
 from .phd_gm import GmPhdConfig, gm_extract, gm_predict, gm_update, prune_merge_cap
 from .phd_smc import ParticleSet, cluster_extract, smc_predict, smc_resample, smc_update

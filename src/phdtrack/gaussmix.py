@@ -3,10 +3,10 @@
 A multi-target intensity is carried either as a weighted Gaussian mixture
 or as a weighted particle cloud.  This module owns the mixture side:
 construction (including kernel density estimates over particle clouds with
-a Silverman bandwidth), mass accounting, density evaluation, and drawing
-samples, optionally with the component each draw came from.  A mixture is
-one array-backed GaussianMixture; component i is weights[i], means[i] and
-covs[i], and there is no separate per-component type.
+a Silverman bandwidth), mass accounting, and drawing samples, each with
+the component it came from.  A mixture is one array-backed
+GaussianMixture; component i is weights[i], means[i] and covs[i], and
+there is no separate per-component type.
 
 Total mixture mass is the expected target count, so weights are free to
 sum to any nonnegative value; nothing here normalizes unless a routine
@@ -107,15 +107,6 @@ def floor_covariances(covs: np.ndarray) -> np.ndarray:
             covs = covs.copy()
             covs[mask] += eps[mask, None, None] * np.eye(n)
     return covs
-
-
-def floor_covariance(cov: np.ndarray) -> np.ndarray:
-    """floor_covariances for one (n, n) matrix.
-
-    A matrix that needs no floor is returned as a view of the input, not
-    a copy.
-    """
-    return floor_covariances(np.asarray(cov, dtype=float)[None])[0]
 
 
 @dataclass(frozen=True)
@@ -268,25 +259,6 @@ def exp_skip_underflow(x: np.ndarray) -> np.ndarray:
     return np.exp(x, out=np.zeros_like(x), where=~(x <= EXP_UNDERFLOW))
 
 
-def eval_gaussian(x: np.ndarray, mean: np.ndarray, cov: np.ndarray) -> float:
-    """Multivariate normal density N(x; mean, cov).
-
-    The covariance is floored first, so the density is always defined;
-    near-singular covariances can still push the value to inf, which is
-    returned rather than raised.
-    """
-    x = np.asarray(x, dtype=float)
-    mean = np.asarray(mean, dtype=float)
-    if x.shape != mean.shape or x.ndim != 1:
-        raise ValueError(f"x {x.shape} and mean {mean.shape} must be matching vectors")
-    cov = floor_covariance(np.asarray(cov, dtype=float))
-    n = x.shape[0]
-    d = x - mean
-    quad = float(d @ np.linalg.solve(cov, d))
-    log_det = float(np.log(np.linalg.det(cov)))
-    return float(np.exp(-0.5 * (quad + n * np.log(2.0 * np.pi) + log_det)))
-
-
 def select_by_weight(weights: np.ndarray, us: np.ndarray) -> np.ndarray:
     """The index each u in [0, 1] selects from nonnegative weights of positive sum.
 
@@ -305,20 +277,16 @@ def select_by_weight(weights: np.ndarray, us: np.ndarray) -> np.ndarray:
     return live[np.minimum(np.searchsorted(cum, us, side="left"), live.size - 1)]
 
 
-def sample_mixture(mixture: GaussianMixture, count: int, rng: np.random.Generator) -> np.ndarray:
-    """Draw `count` i.i.d. samples from a Gaussian mixture.
+def sample_mixture(mixture: GaussianMixture, count: int,
+                   rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """Draw `count` i.i.d. samples from a Gaussian mixture: (idx, samples).
 
     Per sample: draw u ~ U(0, 1), pick a component by select_by_weight,
     then draw from that component's Gaussian via a Cholesky factor.
-    Returns (count, dim).  Components with zero weight are never
-    selected.  A factorization failure is an error, not a silent repair.
+    Returns the component index of every draw, (count,), and the samples,
+    (count, dim).  Components with zero weight are never selected.  A
+    factorization failure is an error, not a silent repair.
     """
-    return sample_mixture_indexed(mixture, count, rng)[1]
-
-
-def sample_mixture_indexed(mixture: GaussianMixture, count: int,
-                           rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """sample_mixture, also returning the component index of every draw: (idx, samples)."""
     if count < 0:
         raise ValueError(f"count must be >= 0, got {count}")
     n = mixture.dim

@@ -76,11 +76,6 @@ def sample_psd_noise(factor: PsdFactor, count: int, rng: np.random.Generator) ->
     return z * factor.root @ factor.basis
 
 
-def wrap_angle(theta):
-    """Principal values of angles, elementwise, by wrap_angular's rule."""
-    return wrap_angular(np.array(theta, dtype=float)[..., None], [True])[..., 0][()]
-
-
 def wrap_angular(x: np.ndarray, angular: np.ndarray) -> np.ndarray:
     """Wrap the angular columns (mask `angular`) of x (..., dim) in place; returns x.
 
@@ -96,13 +91,14 @@ def wrap_angular(x: np.ndarray, angular: np.ndarray) -> np.ndarray:
     return x
 
 
-def _whiten(noise_cov: np.ndarray) -> tuple[np.ndarray, float]:
-    """(W, log_norm) with W = L^-1 for R = L L', so that log N(z; eta, R) =
-    log_norm - |W (z - eta)|^2 / 2.  A ValueError unless R is positive definite."""
+def _whiten(noise_cov: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+    """(L, W, log_norm) with R = L L' and W = L^-1, so that noise draws are
+    L e and log N(z; eta, R) = log_norm - |W (z - eta)|^2 / 2.  A ValueError
+    unless R is positive definite."""
     check_covariances(noise_cov[None])
     chol = np.linalg.cholesky(noise_cov)  # LinAlgError, a ValueError, unless R is PD
     log_norm = -0.5 * noise_cov.shape[0] * np.log(TWO_PI) - np.log(np.diag(chol)).sum()
-    return np.tril(np.linalg.inv(chol)), log_norm
+    return chol, np.tril(np.linalg.inv(chol)), log_norm
 
 
 @dataclass(frozen=True)
@@ -153,7 +149,7 @@ class RadarMeasurementModel:
             raise ValueError("measurement sigmas must be > 0")
         self.sigmas = np.array([sigma_range, sigma_azimuth, sigma_elevation])
         self.noise_cov = np.diag(self.sigmas ** 2)
-        self.whitener, self.log_norm = _whiten(self.noise_cov)
+        self.noise_chol, self.whitener, self.log_norm = _whiten(self.noise_cov)
 
     def measure(self, x: np.ndarray) -> np.ndarray:
         """Map states (..., >=3) to measurements (..., 3).  Errors at the origin."""
@@ -218,8 +214,7 @@ class LinearMeasurementModel:
         self.angular = np.zeros(self.dim, dtype=bool)
         if self.noise_cov.shape != (self.dim, self.dim):
             raise ValueError("noise covariance does not match measurement dimension")
-        self.whitener, self.log_norm = _whiten(self.noise_cov)
-        self.sigmas = np.sqrt(np.diag(self.noise_cov))
+        self.noise_chol, self.whitener, self.log_norm = _whiten(self.noise_cov)
 
     def measure(self, x: np.ndarray) -> np.ndarray:
         return np.asarray(x, dtype=float) @ self.matrix.T

@@ -26,14 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import models as _models
-from .gaussmix import (
-    GaussianMixture,
-    floor_covariance,
-    kde_from_particles,
-    sample_mixture,
-    sample_mixture_indexed,
-    silverman_bandwidth,
-)
+from .gaussmix import GaussianMixture, kde_from_particles, sample_mixture
 # the one corrector and the one extraction rule under this filter's stage names
 from .phd_gm import birth_components
 from .phd_gm import gm_extract as engm_extract, gm_update as engm_update  # noqa: F401
@@ -110,54 +103,7 @@ def engm_resample(posterior: GaussianMixture, count: int,
     mass = posterior.mass
     if mass <= 0:
         return EngmPhdState(ParticleSet(np.zeros((0, posterior.dim)), np.zeros(0)))
-    idx, states = sample_mixture_indexed(posterior, count, rng)
+    idx, states = sample_mixture(posterior, count, rng)
     parts = np.unique(posterior.parts[idx], return_inverse=True)[1]
     return EngmPhdState(ParticleSet(states, np.full(count, mass / count)), parts)
 
-
-def engmf_step(states: np.ndarray, scan: "_models.MeasurementScan",
-               models: "_models.Models", rng: np.random.Generator) -> np.ndarray:
-    """One step of the plain single-target ensemble Gaussian-mixture filter.
-
-    Reference recursion for the degenerate configuration (one target that
-    always survives and is always detected, no clutter, no births): the
-    cloud is propagated, wrapped in a KDE with the unscaled Silverman
-    bandwidth, corrected against the scan's single measurement with
-    normalized weights, and resampled back to the same size.  Written as
-    its own straight-line path, deliberately separate from the intensity
-    recursion, so the two can be compared against each other.
-    """
-    if len(scan) != 1:
-        raise ValueError("the reference recursion expects exactly one measurement")
-    states = np.asarray(states, dtype=float)
-    j, n = states.shape
-    motion = models.motion
-    meas = models.measurement
-    prop = _models.propagate_state(states, motion.dt)
-    prop = prop + _models.sample_psd_noise(motion.noise_factor, j, rng)
-    prior_cov = floor_covariance(silverman_bandwidth(n, j) * np.atleast_2d(np.cov(prop.T, ddof=1)))
-    z = scan.values[0]
-    r = np.asarray(meas.noise_cov, dtype=float)
-    z_dim = r.shape[0]
-    weights = np.empty(j)
-    means = np.empty((j, n))
-    covs = np.empty((j, n, n))
-    for i in range(j):
-        h = meas.jacobian(prop[i])
-        s = h @ prior_cov @ h.T + r
-        s = 0.5 * (s + s.T)
-        gain = prior_cov @ h.T @ np.linalg.inv(s)
-        innov = z - meas.measure(prop[i])
-        _models.wrap_angular(innov, meas.angular)
-        means[i] = prop[i] + gain @ innov
-        updated = prior_cov - gain @ h @ prior_cov
-        covs[i] = floor_covariance(0.5 * (updated + updated.T))
-        chol = np.linalg.cholesky(s)
-        white = np.linalg.solve(chol, innov)
-        weights[i] = np.exp(-0.5 * (white @ white + z_dim * np.log(2.0 * np.pi))
-                            - np.log(np.diag(chol)).sum())
-    total = weights.sum()
-    if total <= 0:
-        raise np.linalg.LinAlgError("all posterior weights vanished in the reference step")
-    posterior = GaussianMixture(weights / total, means, covs)
-    return sample_mixture(posterior, j, rng)

@@ -149,12 +149,24 @@ def generate_scan(truth_states: np.ndarray, models: "_models.Models",
     rows = []
     for x in np.atleast_2d(truth_states):
         if rng.random() < models.detection.p_detect:
-            z = meas.measure(x) + meas.sigmas * rng.standard_normal(meas.dim)
+            z = meas.measure(x) + meas.noise_chol @ rng.standard_normal(meas.dim)
             rows.append(_models.wrap_angular(z, meas.angular))
     detections = np.array(rows).reshape(len(rows), meas.dim)
     clutter = _models.sample_clutter(models.clutter, rng, meas)
     combined = np.concatenate([detections, clutter])
     return _models.MeasurementScan(combined[rng.permutation(len(combined))])
+
+
+def _initial_mixture(config: ScenarioConfig) -> GaussianMixture:
+    """gm's initial intensity: one unit Gaussian at the origin of mass _INIT_WEIGHT."""
+    dim = config.initial_targets.shape[1]
+    return GaussianMixture(np.array([_INIT_WEIGHT]), np.zeros((1, dim)), np.eye(dim)[None])
+
+
+def _initial_cloud(config: ScenarioConfig, rng: np.random.Generator) -> ParticleSet:
+    """smc's and engm's initial intensity: budget draws from gm's, of the same mass."""
+    states = rng.standard_normal((config.budget, config.initial_targets.shape[1]))
+    return ParticleSet(states, np.full(config.budget, _INIT_WEIGHT / config.budget))
 
 
 class _Stepper:
@@ -170,12 +182,7 @@ class _Stepper:
 class _GmStepper(_Stepper):
     def __init__(self, config: ScenarioConfig, rng: np.random.Generator):
         self.config = config
-        dim = config.initial_targets.shape[1]
-        self.mixture = GaussianMixture(
-            np.array([_INIT_WEIGHT]),
-            np.zeros((1, dim)),
-            np.eye(dim)[None, :, :],
-        )
+        self.mixture = _initial_mixture(config)
 
     def step(self, scan, rng):
         cfg = self.config
@@ -189,9 +196,7 @@ class _GmStepper(_Stepper):
 class _SmcStepper(_Stepper):
     def __init__(self, config: ScenarioConfig, rng: np.random.Generator):
         self.config = config
-        dim = config.initial_targets.shape[1]
-        states = rng.standard_normal((config.budget, dim))
-        self.particles = ParticleSet(states, np.full(config.budget, _INIT_WEIGHT / config.budget))
+        self.particles = _initial_cloud(config, rng)
 
     def step(self, scan, rng):
         cfg = self.config
@@ -205,10 +210,7 @@ class _SmcStepper(_Stepper):
 class _EngmStepper(_Stepper):
     def __init__(self, config: ScenarioConfig, rng: np.random.Generator):
         self.config = config
-        dim = config.initial_targets.shape[1]
-        states = rng.standard_normal((config.budget, dim))
-        self.state = EngmPhdState(ParticleSet(states, np.full(config.budget,
-                                                              _INIT_WEIGHT / config.budget)))
+        self.state = EngmPhdState(_initial_cloud(config, rng))
 
     def step(self, scan, rng):
         cfg = self.config

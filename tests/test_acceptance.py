@@ -15,13 +15,7 @@ import json
 import numpy as np
 import pytest
 
-from phdtrack.gaussmix import (
-    GaussianMixture,
-    eval_gaussian,
-    floor_covariance,
-    sample_mixture,
-    silverman_bandwidth,
-)
+from phdtrack.gaussmix import GaussianMixture, silverman_bandwidth
 from phdtrack.metrics import OspaParams, assignment_min_cost, ospa
 from phdtrack.models import (
     BirthModel,
@@ -33,19 +27,20 @@ from phdtrack.models import (
     MotionModel,
     dwna_process_noise,
     propagate_state,
-    sample_psd_noise,
-    wrap_angle,
+    wrap_angular,
 )
-from phdtrack.phd_engm import EngmPhdState, engm_predict, engm_resample, engm_update, engmf_step
+from phdtrack.phd_engm import EngmPhdState, engm_predict, engm_resample, engm_update
 from phdtrack.phd_gm import GmPhdConfig, gm_predict, gm_update, prune_merge_cap
 from phdtrack.phd_smc import ParticleSet, smc_predict, smc_resample, smc_update
 from phdtrack.scenario import (
-    _INIT_WEIGHT,
     ScenarioConfig,
+    _initial_cloud,
+    _initial_mixture,
     generate_scan,
     run_monte_carlo,
     simulate_truth,
 )
+from reference_engmf import reference_engmf_step
 
 
 # ---------------------------------------------------------------------------
@@ -60,11 +55,9 @@ def test_criterion_1_reduction_to_reference_filter():
     meas = models.measurement
     rng_scan = np.random.default_rng(np.random.SeedSequence([7, 0]))
     rng_a = np.random.default_rng(np.random.SeedSequence([7, 1]))
-    rng_b = np.random.default_rng(np.random.SeedSequence([7, 1]))
     rng_ref = np.random.default_rng(np.random.SeedSequence([7, 1]))
     x_true = np.array([60.0, 50.0, 70.0, 0.5, -0.5, 2.0])
     states = x_true + np.random.default_rng(3).standard_normal((budget, 6))
-    states_b = states.copy()
     states_ref = states.copy()
     state = EngmPhdState(ParticleSet(states, np.full(budget, 1.0 / budget)))
     worst_particles = 0.0
@@ -73,49 +66,26 @@ def test_criterion_1_reduction_to_reference_filter():
     worst_covs = 0.0
     for _ in range(50):
         x_true = propagate_state(x_true, 1.0)
-        z = meas.measure(x_true) + meas.sigmas * rng_scan.standard_normal(3)
-        z[meas.angular] = wrap_angle(z[meas.angular])
-        scan = MeasurementScan(z[None])
+        z = wrap_angular(meas.measure(x_true) + meas.sigmas * rng_scan.standard_normal(3),
+                         meas.angular)
 
         predicted = engm_predict(state, models, rng_a)
-        corrected = engm_update(predicted, scan, models)
+        corrected = engm_update(predicted, MeasurementScan(z[None]), models)
         state = engm_resample(corrected, budget, rng_a)
 
-        states_b = engmf_step(states_b, scan, models, rng_b)
-
-        # independent reference posterior: same propagation draws, then a
-        # hand-rolled bank of extended Kalman corrections
-        prop = propagate_state(states_ref, 1.0)
-        prop = prop + sample_psd_noise(models.motion.noise_factor, budget, rng_ref)
-        prior_cov = floor_covariance(
-            silverman_bandwidth(6, budget) * np.atleast_2d(np.cov(prop.T, ddof=1)))
-        ref_w = np.empty(budget)
-        ref_m = np.empty((budget, 6))
-        ref_p = np.empty((budget, 6, 6))
-        for i in range(budget):
-            h = meas.jacobian(prop[i])
-            s = h @ prior_cov @ h.T + meas.noise_cov
-            s = 0.5 * (s + s.T)
-            gain = prior_cov @ h.T @ np.linalg.inv(s)
-            innov = z - meas.measure(prop[i])
-            innov[meas.angular] = wrap_angle(innov[meas.angular])
-            ref_m[i] = prop[i] + gain @ innov
-            updated = prior_cov - gain @ h @ prior_cov
-            ref_p[i] = floor_covariance(0.5 * (updated + updated.T))
-            ref_w[i] = eval_gaussian(innov, np.zeros(3), s)
-        ref_w = ref_w / ref_w.sum()
-        states_ref = sample_mixture(GaussianMixture(ref_w, ref_m, ref_p), budget, rng_ref)
+        # the hand-built EnGMF, on the same draws
+        reference, states_ref = reference_engmf_step(states_ref, z, models, rng_ref)
 
         # the intensity posterior is the zero-weight missed block followed
         # by the measurement-corrected block; compare the live block
         assert np.all(corrected.weights[:budget] == 0.0)
         worst_weights = max(worst_weights,
-                            float(np.abs(corrected.weights[budget:] - ref_w).max()))
-        worst_means = max(worst_means, float(np.abs(corrected.means[budget:] - ref_m).max()))
-        worst_covs = max(worst_covs, float(np.abs(corrected.covs[budget:] - ref_p).max()))
+                            float(np.abs(corrected.weights[budget:] - reference.weights).max()))
+        worst_means = max(worst_means,
+                          float(np.abs(corrected.means[budget:] - reference.means).max()))
+        worst_covs = max(worst_covs, float(np.abs(corrected.covs[budget:] - reference.covs).max()))
         worst_particles = max(worst_particles,
-                              float(np.abs(state.particles.states - states_b).max()))
-        assert np.abs(state.particles.states - states_ref).max() < 1e-12
+                              float(np.abs(state.particles.states - states_ref).max()))
 
     print(f"criterion 1: max deviations over 50 steps: weights {worst_weights:.2e}, "
           f"means {worst_means:.2e}, covs {worst_covs:.2e}, particles {worst_particles:.2e}")
@@ -188,8 +158,7 @@ def test_criterion_3_mass_ledgers():
     # Gaussian-mixture filter
     rng = np.random.default_rng(np.random.SeedSequence([0, 1]))
     rng_scan = np.random.default_rng(np.random.SeedSequence([0, 0]))
-    mixture = GaussianMixture(np.array([_INIT_WEIGHT]), np.zeros((1, 6)),
-                              np.eye(6)[None])
+    mixture = _initial_mixture(config)
     for k in range(1, config.n_steps + 1):
         scan = generate_scan(truth[k], models, rng_scan)
         predicted = gm_predict(mixture, models, rng)
@@ -203,8 +172,7 @@ def test_criterion_3_mass_ledgers():
     # particle filter
     rng = np.random.default_rng(np.random.SeedSequence([0, 1]))
     rng_scan = np.random.default_rng(np.random.SeedSequence([0, 0]))
-    cloud = ParticleSet(rng.standard_normal((config.budget, 6)),
-                        np.full(config.budget, _INIT_WEIGHT / config.budget))
+    cloud = _initial_cloud(config, rng)
     for k in range(1, config.n_steps + 1):
         scan = generate_scan(truth[k], models, rng_scan)
         predicted = smc_predict(cloud, models, rng)
@@ -218,9 +186,7 @@ def test_criterion_3_mass_ledgers():
     # ensemble filter
     rng = np.random.default_rng(np.random.SeedSequence([0, 1]))
     rng_scan = np.random.default_rng(np.random.SeedSequence([0, 0]))
-    state = EngmPhdState(
-        ParticleSet(rng.standard_normal((config.budget, 6)),
-                    np.full(config.budget, _INIT_WEIGHT / config.budget)))
+    state = EngmPhdState(_initial_cloud(config, rng))
     for k in range(1, config.n_steps + 1):
         scan = generate_scan(truth[k], models, rng_scan)
         predicted = engm_predict(state, models, rng)

@@ -1,4 +1,4 @@
-"""Mixture construction, density evaluation, and sampling."""
+"""Mixture construction, covariance checks, and sampling."""
 
 import numpy as np
 import pytest
@@ -12,13 +12,10 @@ from phdtrack.gaussmix import (
     GaussianMixture,
     NumericalCheckError,
     check_covariances,
-    eval_gaussian,
     exp_skip_underflow,
-    floor_covariance,
     floor_covariances,
     kde_from_particles,
     sample_mixture,
-    sample_mixture_indexed,
     select_by_weight,
     silverman_bandwidth,
 )
@@ -61,14 +58,14 @@ def test_silverman_rejects_degenerate_arguments():
 
 def test_floor_covariance_leaves_healthy_matrix_alone():
     cov = np.diag([2.0, 3.0])
-    out = floor_covariance(cov)
+    out = floor_covariances(cov[None])[0]
     assert np.shares_memory(out, cov)
     assert np.array_equal(out, cov)
 
 
 def test_floor_covariance_inflates_singular_matrix():
     cov = np.zeros((3, 3))
-    out = floor_covariance(cov)
+    out = floor_covariances(cov[None])[0]
     assert np.linalg.eigvalsh(out)[0] > 0
     # eps = 1e-9 * (1 + trace/n) = 1e-9 for the zero matrix
     assert out == pytest.approx(1e-9 * np.eye(3))
@@ -100,7 +97,7 @@ def test_floor_covariances_batched_matches_scalar():
     floored = [not np.array_equal(got, cov) for got, cov in zip(out, covs)]
     assert floored == [False, True, True, False, False]
     for got, single in zip(out, covs):
-        assert np.array_equal(got, floor_covariance(single))
+        assert np.array_equal(got, floor_covariances(single[None])[0])
     # the input stack is left as it was
     assert np.array_equal(covs[1], np.zeros((3, 3)))
 
@@ -399,40 +396,6 @@ def test_kde_rejects_bad_input():
 
 
 # ---------------------------------------------------------------------------
-# eval_gaussian
-
-
-def log_chol_density(x, mean, cov):
-    """Independent density oracle via a Cholesky whitening in log space."""
-    chol = np.linalg.cholesky(cov)
-    white = np.linalg.solve(chol, x - mean)
-    log_norm = -0.5 * len(x) * np.log(2.0 * np.pi) - np.log(np.diag(chol)).sum()
-    return np.exp(log_norm - 0.5 * white @ white)
-
-
-def test_eval_gaussian_against_cholesky_oracle():
-    rng = np.random.default_rng(7)
-    for _ in range(200):
-        n = int(rng.integers(1, 7))
-        mean = rng.standard_normal(n) * 3.0
-        cov = random_spd(rng, n, scale=float(rng.uniform(0.1, 10.0)))
-        x = mean + rng.standard_normal(n) * 2.0
-        got = eval_gaussian(x, mean, cov)
-        assert got == pytest.approx(log_chol_density(x, mean, cov), rel=1e-10)
-
-
-def test_eval_gaussian_standard_normal_origin():
-    # N(0; 0, I_2) = 1 / (2 pi)
-    got = eval_gaussian(np.zeros(2), np.zeros(2), np.eye(2))
-    assert got == pytest.approx(1.0 / (2.0 * np.pi), rel=1e-14)
-
-
-def test_eval_gaussian_shape_mismatch():
-    with pytest.raises(ValueError):
-        eval_gaussian(np.zeros(2), np.zeros(3), np.eye(3))
-
-
-# ---------------------------------------------------------------------------
 # sample_mixture
 
 
@@ -455,12 +418,12 @@ class FixedDraws:
 
 
 def selected(weights, us):
-    """Component indices sample_mixture_indexed picks for the given u values."""
+    """Component indices sample_mixture picks for the given u values."""
     j = len(weights)
     means = np.arange(j, dtype=float)[:, None] * 10.0
     mix = GaussianMixture(np.asarray(weights, dtype=float), means,
                           np.broadcast_to(np.eye(1), (j, 1, 1)).copy())
-    idx, draws = sample_mixture_indexed(mix, len(us), FixedDraws(us))
+    idx, draws = sample_mixture(mix, len(us), FixedDraws(us))
     assert np.array_equal(draws, means[idx])
     return idx.tolist()
 
@@ -509,7 +472,7 @@ def test_sample_mixture_selection_frequencies():
     covs = np.full((3, 1, 1), 1e-6)
     mix = GaussianMixture(weights, means, covs)
     rng = np.random.default_rng(19)
-    draws = sample_mixture(mix, 10000, rng)
+    _, draws = sample_mixture(mix, 10000, rng)
     counts = np.array([(np.abs(draws[:, 0] - m) < 50.0).sum() for m in (0.0, 100.0, 200.0)])
     assert counts.sum() == 10000
     expected = weights * 10000
@@ -520,7 +483,7 @@ def test_sample_mixture_selection_frequencies():
 def test_sample_mixture_never_selects_zero_weight():
     mix = GaussianMixture(np.array([0.0, 1.0]), np.array([[0.0], [50.0]]),
                           np.full((2, 1, 1), 1e-8))
-    draws = sample_mixture(mix, 500, np.random.default_rng(2))
+    _, draws = sample_mixture(mix, 500, np.random.default_rng(2))
     assert np.all(np.abs(draws - 50.0) < 1.0)
 
 
@@ -528,17 +491,18 @@ def test_sample_mixture_moments():
     rng = np.random.default_rng(5)
     cov = np.array([[2.0, 0.3], [0.3, 0.5]])
     mix = GaussianMixture(np.array([3.0]), np.array([[1.0, -2.0]]), cov[None])
-    draws = sample_mixture(mix, 20000, rng)
+    _, draws = sample_mixture(mix, 20000, rng)
     assert draws.mean(axis=0) == pytest.approx([1.0, -2.0], abs=0.05)
     assert np.cov(draws.T, ddof=1) == pytest.approx(cov, abs=0.08)
 
 
 def test_sample_mixture_deterministic_and_edge_counts():
     mix = GaussianMixture(np.array([1.0]), np.zeros((1, 2)), np.eye(2)[None])
-    a = sample_mixture(mix, 7, np.random.default_rng(42))
-    b = sample_mixture(mix, 7, np.random.default_rng(42))
-    assert np.array_equal(a, b)
-    assert sample_mixture(mix, 0, np.random.default_rng(0)).shape == (0, 2)
+    idx_a, a = sample_mixture(mix, 7, np.random.default_rng(42))
+    idx_b, b = sample_mixture(mix, 7, np.random.default_rng(42))
+    assert np.array_equal(a, b) and np.array_equal(idx_a, idx_b)
+    idx, draws = sample_mixture(mix, 0, np.random.default_rng(0))
+    assert idx.shape == (0,) and draws.shape == (0, 2)
     with pytest.raises(ValueError):
         sample_mixture(mix, -1, np.random.default_rng(0))
     with pytest.raises(ValueError):
@@ -549,11 +513,7 @@ def test_sample_mixture_indexed_reports_the_drawn_components():
     means = np.array([[0.0, 0.0], [100.0, 0.0], [0.0, 100.0]])
     mix = GaussianMixture(np.array([0.5, 0.0, 1.5]), means,
                           np.broadcast_to(1e-6 * np.eye(2), (3, 2, 2)).copy())
-    idx, draws = sample_mixture_indexed(mix, 200, np.random.default_rng(5))
+    idx, draws = sample_mixture(mix, 200, np.random.default_rng(5))
     assert idx.shape == (200,)
     assert not np.any(idx == 1)
     assert np.abs(draws - means[idx]).max() < 0.01
-    # the same stream gives sample_mixture's draws exactly
-    assert np.array_equal(draws, sample_mixture(mix, 200, np.random.default_rng(5)))
-    idx, draws = sample_mixture_indexed(mix, 0, np.random.default_rng(5))
-    assert idx.shape == (0,) and draws.shape == (0, 2)

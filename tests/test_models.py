@@ -19,7 +19,6 @@ from phdtrack.models import (
     sample_clutter,
     sample_psd_noise,
     transition_matrix,
-    wrap_angle,
     wrap_angular,
 )
 
@@ -124,18 +123,17 @@ def test_motion_model_validation():
 
 
 def test_wrap_angle_principal_interval():
-    assert wrap_angle(np.pi + 0.1) == pytest.approx(-np.pi + 0.1)
-    assert wrap_angle(-np.pi - 0.1) == pytest.approx(np.pi - 0.1)
-    assert wrap_angle(0.3) == pytest.approx(0.3)
-    assert wrap_angle(2 * np.pi) == pytest.approx(0.0, abs=1e-12)
-    many = wrap_angle(np.linspace(-20.0, 20.0, 101))
+    angles = np.array([[np.pi + 0.1], [-np.pi - 0.1], [0.3], [2 * np.pi]])
+    assert wrap_angular(angles, [True])[:, 0] == pytest.approx(
+        [-np.pi + 0.1, np.pi - 0.1, 0.3, 0.0], abs=1e-12)
+    many = wrap_angular(np.linspace(-20.0, 20.0, 101)[:, None], [True])
     assert np.all(many > -np.pi - 1e-12)
     assert np.all(many <= np.pi + 1e-12)
 
 
 def test_wrap_keeps_an_angle_in_range_bit_for_bit():
     inside = np.concatenate([np.linspace(-np.pi, np.pi, 1001), [-np.pi, np.pi, -0.0]])
-    assert np.array_equal(wrap_angle(inside), inside)
+    assert np.array_equal(wrap_angular(inside[:, None].copy(), [True])[:, 0], inside)
     # a transposed view, as smc's innovation planes, is wrapped in place
     planes = np.array([[[0.1, 4.0], [-7.0, np.pi]], [[-3.5, 3.0], [2.0, -np.pi]]])
     view = planes.transpose(1, 2, 0)
@@ -160,6 +158,9 @@ def test_radar_defaults():
     assert meas.dim == 3
     assert meas.sigmas == pytest.approx([1.0, np.deg2rad(0.5), np.deg2rad(0.5)])
     assert meas.noise_cov == pytest.approx(np.diag(meas.sigmas ** 2))
+    # R is diagonal, so its Cholesky factor is diag(sigmas) bit for bit, and a
+    # scan's noise draw noise_chol @ e is sigmas * e
+    assert np.array_equal(meas.noise_chol, np.diag(meas.sigmas))
     assert list(meas.angular) == [False, True, False]
     with pytest.raises(ValueError):
         RadarMeasurementModel(sigma_range=0.0)
@@ -201,7 +202,7 @@ def test_linear_measurement_model():
     assert model.jacobian(x) == pytest.approx(h)
     assert model.dim == 3
     assert not model.angular.any()
-    assert model.sigmas == pytest.approx([0.5, 0.5, 0.5])
+    assert np.array_equal(model.noise_chol, 0.5 * np.eye(3))
     assert model.linearizable(np.zeros((4, 6))).all()
     with pytest.raises(ValueError):
         LinearMeasurementModel(h, np.eye(2))

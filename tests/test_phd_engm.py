@@ -5,10 +5,8 @@ import pytest
 
 from phdtrack.gaussmix import (
     GaussianMixture,
-    eval_gaussian,
-    floor_covariance,
+    floor_covariances,
     sample_mixture,
-    sample_mixture_indexed,
     silverman_bandwidth,
 )
 from phdtrack.models import (
@@ -19,8 +17,6 @@ from phdtrack.models import (
     Models,
     MotionModel,
     propagate_state,
-    sample_psd_noise,
-    wrap_angle,
 )
 from phdtrack import phd_engm, phd_gm
 from phdtrack.phd_engm import (
@@ -29,9 +25,9 @@ from phdtrack.phd_engm import (
     engm_predict,
     engm_resample,
     engm_update,
-    engmf_step,
 )
 from phdtrack.phd_smc import ParticleSet
+from reference_engmf import reference_engmf_step
 
 
 def uniform_cloud(states, mass):
@@ -85,7 +81,7 @@ def test_predict_gives_an_unlabelled_cloud_one_kernel_then_births():
     assert np.ptp(survivors, axis=0) == pytest.approx(np.zeros((6, 6)), abs=0.0)
     beta = silverman_bandwidth(6, 20)
     expected = beta * np.cov(predicted.means[:20].T, ddof=1)
-    assert survivors[0] == pytest.approx(floor_covariance(expected), rel=1e-12)
+    assert survivors[0] == pytest.approx(floor_covariances(expected[None])[0], rel=1e-12)
     # births keep the full birth covariance and form a part of their own
     for cov in predicted.covs[20:]:
         assert cov == pytest.approx(models.birth.cov, rel=1e-12)
@@ -107,7 +103,7 @@ def test_predict_gives_each_part_its_own_kernel():
         members = predicted.means[parts == label]
         expected = silverman_bandwidth(6, 12) * np.cov(members.T, ddof=1)
         for cov in predicted.covs[parts == label]:
-            assert cov == pytest.approx(floor_covariance(expected), rel=1e-12)
+            assert cov == pytest.approx(floor_covariances(expected[None])[0], rel=1e-12)
     # a kernel the size of one target, not of the gap between the two
     assert predicted.covs[0][0, 0] < 1.0
 
@@ -128,7 +124,7 @@ def test_predict_without_births_wraps_survivors_directly():
     assert predicted.means == pytest.approx(propagate_state(states, 1.0), rel=1e-12)
     beta = silverman_bandwidth(6, 15)
     expected = beta * np.cov(predicted.means.T, ddof=1)
-    assert predicted.covs[0] == pytest.approx(floor_covariance(expected), rel=1e-12)
+    assert predicted.covs[0] == pytest.approx(floor_covariances(expected[None])[0], rel=1e-12)
     # the same cloud carried at a tenth of the mass gets the same kernel
     light = engm_predict(uniform_cloud(states, 0.1), models, np.random.default_rng(13))
     assert light.mass == pytest.approx(0.095, rel=1e-12)
@@ -257,12 +253,33 @@ def test_update_and_resample_carry_parts():
     # every particle joins the part of the component it was drawn from,
     # renumbered by rank: the two measurement parts are the last two labels
     following = engm_resample(corrected, 40, np.random.default_rng(3))
-    idx, draws = sample_mixture_indexed(corrected, 40, np.random.default_rng(3))
+    idx, draws = sample_mixture(corrected, 40, np.random.default_rng(3))
     assert np.array_equal(following.particles.states, draws)
     drawn = np.unique(corrected.parts[idx])
     assert np.array_equal(drawn[following.parts], corrected.parts[idx])
     assert drawn[-2:].tolist() == [8, 9]
     assert np.isin(following.parts, [drawn.size - 2, drawn.size - 1]).sum() >= 35
+
+
+def test_resample_draws_through_the_module_sampler(monkeypatch):
+    # engm draws through phd_engm's global, so a wrapper put there, as the
+    # benchmark's tracer does, sees every draw it makes
+    rng = np.random.default_rng(20)
+    posterior = GaussianMixture(rng.uniform(0.1, 1.0, 6), rng.standard_normal((6, 6)),
+                                np.broadcast_to(0.01 * np.eye(6), (6, 6, 6)).copy(),
+                                np.array([4, 4, 9, 1, 9, 4]))
+    expected = engm_resample(posterior, 30, np.random.default_rng(21))
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return sample_mixture(*args)
+
+    monkeypatch.setattr(phd_engm, "sample_mixture", counting)
+    got = engm_resample(posterior, 30, np.random.default_rng(21))
+    assert len(calls) == 1
+    assert np.array_equal(got.particles.states, expected.particles.states)
+    assert np.array_equal(got.parts, expected.parts)
 
 
 def test_resample_renumbers_parts_by_rank():
@@ -273,59 +290,12 @@ def test_resample_renumbers_parts_by_rank():
     posterior = GaussianMixture(weights, means, np.broadcast_to(1e-4 * np.eye(6), (7, 6, 6)).copy(),
                                 labels)
     state = engm_resample(posterior, 200, np.random.default_rng(4))
-    idx, _ = sample_mixture_indexed(posterior, 200, np.random.default_rng(4))
+    idx, _ = sample_mixture(posterior, 200, np.random.default_rng(4))
     # the zero-weight part 999 is never drawn, so four parts remain, in
     # the order of their labels
     assert np.array_equal(np.unique(state.parts), np.arange(4))
     rank = {5: 0, 17: 1, 40: 2, 1234: 3}
     assert state.parts.tolist() == [rank[label] for label in labels[idx]]
-
-
-def test_engmf_step_requires_single_measurement():
-    models = reduction_models()
-    states = np.full((10, 6), 50.0)
-    with pytest.raises(ValueError):
-        engmf_step(states, MeasurementScan(np.zeros((0, 3))), models, np.random.default_rng(0))
-    with pytest.raises(ValueError):
-        engmf_step(states, MeasurementScan(np.zeros((2, 3))), models, np.random.default_rng(0))
-
-
-def test_engmf_step_against_hand_built_posterior():
-    """Replicate the reference step with independent extended-Kalman algebra."""
-    models = reduction_models()
-    meas = models.measurement
-    rng_pkg = np.random.default_rng(55)
-    rng_ref = np.random.default_rng(55)
-    rng_init = np.random.default_rng(56)
-    x_true = np.array([60.0, 50.0, 70.0, 0.5, -0.5, 2.0])
-    states = x_true + rng_init.standard_normal((40, 6))
-    z = meas.measure(propagate_state(x_true, 1.0))
-    got = engmf_step(states, MeasurementScan(z[None]), models, rng_pkg)
-
-    # reference: same propagation draws, then a hand-rolled correction
-    j = len(states)
-    prop = propagate_state(states, 1.0)
-    prop = prop + sample_psd_noise(models.motion.noise_factor, j, rng_ref)
-    prior_cov = floor_covariance(
-        silverman_bandwidth(6, j) * np.atleast_2d(np.cov(prop.T, ddof=1)))
-    r = meas.noise_cov
-    weights = np.empty(j)
-    means = np.empty((j, 6))
-    covs = np.empty((j, 6, 6))
-    for i in range(j):
-        h = meas.jacobian(prop[i])
-        s = h @ prior_cov @ h.T + r
-        s = 0.5 * (s + s.T)
-        gain = prior_cov @ h.T @ np.linalg.inv(s)
-        innov = z - meas.measure(prop[i])
-        innov[meas.angular] = wrap_angle(innov[meas.angular])
-        means[i] = prop[i] + gain @ innov
-        updated = prior_cov - gain @ h @ prior_cov
-        covs[i] = floor_covariance(0.5 * (updated + updated.T))
-        weights[i] = eval_gaussian(z, meas.measure(prop[i]), s)
-    posterior = GaussianMixture(weights / weights.sum(), means, covs)
-    expected = sample_mixture(posterior, j, rng_ref)
-    assert got == pytest.approx(expected, abs=1e-9)
 
 
 def test_reduction_one_step_parity():
@@ -344,8 +314,7 @@ def test_reduction_one_step_parity():
     corrected = engm_update(predicted, scan, models)
     next_state = engm_resample(corrected, 30, rng_a)
 
-    rng_b = np.random.default_rng(61)
-    reference = engmf_step(states, scan, models, rng_b)
+    _, reference = reference_engmf_step(states, z, models, np.random.default_rng(61))
 
     assert corrected.mass == pytest.approx(1.0, abs=1e-12)
     assert next_state.particles.states == pytest.approx(reference, abs=1e-9)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from phdtrack.gaussmix import GaussianMixture, floor_covariance
+from phdtrack.gaussmix import GaussianMixture, floor_covariances
 from phdtrack.models import (
     BirthModel,
     ClutterModel,
@@ -17,7 +17,7 @@ from phdtrack.models import (
     RadarMeasurementModel,
     dwna_process_noise,
     sample_birth_states,
-    wrap_angle,
+    wrap_angular,
 )
 from phdtrack import phd_gm
 from phdtrack.phd_gm import (
@@ -197,13 +197,12 @@ def test_update_wraps_azimuth_innovation():
     x = np.array([-150.0, -0.5, 80.0, 0.0, 0.0, 0.0])
     prior = GaussianMixture(np.array([1.0]), x[None],
                             (np.diag([4.0, 4.0, 4.0, 0.5, 0.5, 0.5]))[None])
-    from phdtrack.models import wrap_angle
-
     z = meas.measure(x).copy()
     eta_az = z[1]
     assert eta_az < -3.0  # predicted azimuth sits just below the cut
     # push the azimuth 6 mrad across the cut onto the positive side
-    z[1] = float(wrap_angle(z[1] - 0.006))
+    z[1] -= 0.006
+    wrap_angular(z, meas.angular)
     assert z[1] > 3.0
     corrected = gm_update(prior, MeasurementScan(z[None]), models)
     i = int(np.argmax(corrected.weights))
@@ -226,7 +225,7 @@ def likelihood_sums(prior, z, models):
         h = meas.jacobian(m)
         s = h @ p @ h.T + r
         d = z - meas.measure(m)
-        d[:, meas.angular] = wrap_angle(d[:, meas.angular])
+        wrap_angular(d, meas.angular)
         quad = np.einsum("mi,mi->m", d, np.linalg.solve(s, d.T).T)
         sums += models.detection.p_detect * w * np.exp(-0.5 * quad) / np.sqrt(
             np.linalg.det(2.0 * np.pi * s))
@@ -296,10 +295,10 @@ def reference_gm_update(prior, scan, models):
         s_inv = np.linalg.inv(s)
         k_gain = np.einsum("aij,akj,akl->ail", p, h, s_inv)
         p_post = p - np.einsum("aij,ajk,akl->ail", k_gain, h, p)
-        p_post = np.stack([floor_covariance(0.5 * (c + c.T)) for c in p_post])
+        p_post = np.stack([floor_covariances((0.5 * (c + c.T))[None])[0] for c in p_post])
         for z, kappa_z in zip(scan.values, kappa):
             innov = z[None, :] - eta
-            innov[:, meas.angular] = wrap_angle(innov[:, meas.angular])
+            wrap_angular(innov, meas.angular)
             quad = np.einsum("ai,aij,aj->a", innov, s_inv, innov)
             like = np.exp(-0.5 * (quad + log_norm))
             like[~ok] = 0.0
@@ -343,7 +342,7 @@ def radar_scan(rng, prior, meas, meas_count):
     z[kind[:, 0] >= 0.9] = 0.0
     z = z + 3.0 * meas.sigmas * rng.normal(size=(meas_count, 3))
     z[:, 0] = np.abs(z[:, 0])
-    z[:, 1] = wrap_angle(z[:, 1])
+    wrap_angular(z, meas.angular)
     return MeasurementScan(z)
 
 

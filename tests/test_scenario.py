@@ -8,6 +8,7 @@ from phdtrack.models import (
     BirthModel,
     ClutterModel,
     DetectionSurvival,
+    LinearMeasurementModel,
     Models,
     MotionModel,
     dwna_process_noise,
@@ -110,6 +111,18 @@ def test_generate_scan_detection_only():
     expected = expected[np.argsort(expected[:, 0])]
     assert got[:, 0] == pytest.approx(expected[:, 0], abs=5.0)
     assert got[:, 1:] == pytest.approx(expected[:, 1:], abs=0.05)
+
+
+def test_generate_scan_noise_has_the_measurement_covariance():
+    # a correlated R: scans drawn with diag(R) only would read 0 off the diagonal
+    r = np.array([[1.0, 0.9, 0.0], [0.9, 1.0, 0.0], [0.0, 0.0, 0.25]])
+    models = Models(measurement=LinearMeasurementModel(np.eye(3, 6), r),
+                    clutter=ClutterModel(rate=0.0),
+                    detection=DetectionSurvival(p_detect=1.0, p_survive=0.99))
+    x = np.array([50.0, 60.0, 70.0, 0.0, 0.0, 0.0])
+    rng = np.random.default_rng(2)
+    noise = np.array([generate_scan(x, models, rng).values[0] - x[:3] for _ in range(20_000)])
+    assert np.cov(noise.T) == pytest.approx(r, abs=0.05)
 
 
 def test_generate_scan_missed_detections():
