@@ -10,8 +10,8 @@ defaults to the reference two-target radar scenario, so an empty file (or
 no file) reproduces it.  Angles in the file are degrees; everything
 internal is radians.  Flags beat the file.
 
-Exit codes: 0 success, 1 configuration or usage error, 2 numerical
-failure.
+Exit codes: 0 success, 1 configuration or usage error, 2 when every run
+of every requested filter failed numerically.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ import numpy as np
 from . import models as _models
 from .metrics import OspaParams
 from .phd_gm import GmPhdConfig
-from .scenario import FILTER_KINDS, MonteCarloSummary, RunRecord, ScenarioConfig, run_monte_carlo
+from .scenario import FILTER_KINDS, ScenarioConfig, run_monte_carlo
 
 RECORD_HEADER = "run,filter,k,n_true,n_hat,ospa,ospa_loc,ospa_card,n_components,wall_ms"
 STATE_HEADER = "run,filter,k,target_slot,rx,ry,rz,vx,vy,vz"
@@ -43,8 +43,9 @@ class ConfigError(Exception):
 
 
 def _fmt(value) -> str:
+    """A Python or numpy float by repr, so that it round-trips; anything else by str."""
     if isinstance(value, float):
-        return repr(value)
+        return repr(float(value))
     return str(value)
 
 
@@ -230,39 +231,13 @@ def load_file_config(path: str | None) -> FileConfig:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
 
 
-def _records_csv(records: list, kind: str) -> str:
-    lines = [RECORD_HEADER]
-    for rec in records:
-        for s in rec.steps:
-            lines.append(",".join([
-                str(rec.run), kind, str(s.k), str(s.n_true), str(s.n_hat),
-                repr(s.ospa_total), repr(s.ospa_loc), repr(s.ospa_card),
-                str(s.n_components), f"{s.wall_time * 1e3:.3f}",
-            ]))
-    return "\n".join(lines) + "\n"
+def _csv(header: str, rows) -> str:
+    """One CSV table: the header, then one line per row of cells (_fmt)."""
+    return "\n".join([header] + [",".join(map(_fmt, row)) for row in rows]) + "\n"
 
 
-def _states_csv(records: list, kind: str) -> str:
-    lines = [STATE_HEADER]
-    for rec in records:
-        for s in rec.steps:
-            for slot, x in enumerate(s.extracted):
-                lines.append(",".join(
-                    [str(rec.run), kind, str(s.k), str(slot)] + [repr(float(v)) for v in x]))
-    return "\n".join(lines) + "\n"
-
-
-def _summary_rows(summary: MonteCarloSummary) -> list:
-    rows = []
-    for i, k in enumerate(summary.ks):
-        rows.append(",".join([
-            summary.filter_kind, str(int(k)),
-            repr(float(summary.mean_ospa[i])), repr(float(summary.mean_ospa_loc[i])),
-            repr(float(summary.mean_ospa_card[i])), repr(float(summary.mean_n_hat[i])),
-            repr(float(summary.mean_n_components[i])),
-            f"{float(summary.mean_wall_time[i]) * 1e3:.3f}",
-        ]))
-    return rows
+def _ms(seconds: float) -> str:
+    return f"{seconds * 1e3:.3f}"
 
 
 def _write(path: str, text: str):
@@ -272,27 +247,31 @@ def _write(path: str, text: str):
 
 def _write_outputs(out_dir: str, results: dict, config: ScenarioConfig):
     os.makedirs(out_dir, exist_ok=True)
-    summary_lines = [SUMMARY_HEADER]
-    efficiency_lines = [EFFICIENCY_HEADER]
-    failures = {}
-    for kind, (summary, records) in results.items():
-        _write(os.path.join(out_dir, f"records_{kind}.csv"), _records_csv(records, kind))
-        _write(os.path.join(out_dir, f"states_{kind}.csv"), _states_csv(records, kind))
-        summary_lines.extend(_summary_rows(summary))
-        efficiency_lines.append(",".join([
-            kind,
-            repr(float(np.nanmean(summary.mean_n_components))),
-            f"{summary.total_wall_time:.3f}",
-        ]))
-        failures[kind] = summary.failures
-    _write(os.path.join(out_dir, "summary.csv"), "\n".join(summary_lines) + "\n")
-    _write(os.path.join(out_dir, "efficiency.csv"), "\n".join(efficiency_lines) + "\n")
+
+    def write_csv(name, header, rows):
+        _write(os.path.join(out_dir, name), _csv(header, rows))
+
+    for kind, (_, records) in results.items():
+        steps = [(rec.run, s) for rec in records for s in rec.steps]
+        write_csv(f"records_{kind}.csv", RECORD_HEADER, (
+            [run, kind, s.k, s.n_true, s.n_hat, s.ospa_total, s.ospa_loc, s.ospa_card,
+             s.n_components, _ms(s.wall_time)] for run, s in steps))
+        write_csv(f"states_{kind}.csv", STATE_HEADER, (
+            [run, kind, s.k, slot, *x] for run, s in steps for slot, x in enumerate(s.extracted)))
+    summaries = [summary for summary, _ in results.values()]
+    write_csv("summary.csv", SUMMARY_HEADER, (
+        [m.filter_kind, k, m.mean_ospa[i], m.mean_ospa_loc[i], m.mean_ospa_card[i],
+         m.mean_n_hat[i], m.mean_n_components[i], _ms(m.mean_wall_time[i])]
+        for m in summaries for i, k in enumerate(m.ks)))
+    write_csv("efficiency.csv", EFFICIENCY_HEADER, (
+        [m.filter_kind, np.mean(m.mean_n_components), f"{m.total_wall_time:.3f}"]
+        for m in summaries))
     meta = {
         "seed": config.seed,
         "runs": config.runs,
         "steps": config.n_steps,
         "filters": sorted(results),
-        "failures": failures,
+        "failures": {m.filter_kind: m.failures for m in summaries},
         "seeding": "run r uses seed seed+r; scans come from a dedicated stream per run, "
                    "so all filters see identical scans and comparisons are paired",
     }
@@ -322,11 +301,13 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out-dir", default=None, help="output directory (default: results)")
         p.add_argument("--threads", type=int, default=None,
                        help="worker processes for runs (default: available cores)")
+        p.set_defaults(handler=_cmd_run)
 
     common(sub.add_parser("run", help="run one filter and write record CSVs"), True)
     common(sub.add_parser("compare", help="run gm, smc, and engm on identical scans"), False)
     emit = sub.add_parser("emit-config", help="write the default configuration file")
     emit.add_argument("path", nargs="?", default="scenario.ini")
+    emit.set_defaults(handler=_cmd_emit_config)
     return parser
 
 
@@ -346,34 +327,22 @@ def _resolve(args) -> tuple[ScenarioConfig, str, int]:
 
 
 def _cmd_run(args) -> int:
+    """run (the configured filter) and compare (every filter), on paired seeds."""
     scenario, out_dir, threads = _resolve(args)
-    summary, records = run_monte_carlo(scenario, threads=threads)
-    if summary.failures == summary.runs:
-        print("all runs failed; see stderr", file=sys.stderr)
-        for rec in records:
-            print(f"run {rec.run} (seed {rec.seed}): {rec.error}", file=sys.stderr)
-        return 2
-    _write_outputs(out_dir, {scenario.filter_kind: (summary, records)}, scenario)
-    window = summary.mean_ospa[summary.ks >= min(10, summary.ks[-1])]
-    print(f"{scenario.filter_kind}: {summary.runs - summary.failures}/{summary.runs} runs ok, "
-          f"mean position error {np.nanmean(window):.2f} over the settled window, "
-          f"outputs in {out_dir}/")
-    return 0
-
-
-def _cmd_compare(args) -> int:
-    scenario, out_dir, threads = _resolve(args)
+    kinds = (scenario.filter_kind,) if args.command == "run" else FILTER_KINDS
     results = {}
-    any_ok = False
-    for kind in FILTER_KINDS:
-        one = replace(scenario, filter_kind=kind)
-        summary, records = run_monte_carlo(one, threads=threads)
+    for kind in kinds:
+        summary, records = run_monte_carlo(replace(scenario, filter_kind=kind), threads=threads)
         results[kind] = (summary, records)
-        any_ok = any_ok or summary.failures < summary.runs
+        window = summary.mean_ospa[summary.ks >= min(10, len(summary.ks))]
         print(f"{kind}: {summary.runs - summary.failures}/{summary.runs} runs ok, "
+              f"mean OSPA {np.mean(window):.2f} over the settled window, "
               f"{summary.total_wall_time:.1f}s")
-    if not any_ok:
-        print("all runs of every filter failed", file=sys.stderr)
+        for rec in records:
+            if rec.failed:
+                print(f"{kind} run {rec.run} (seed {rec.seed}): {rec.error}", file=sys.stderr)
+    if all(summary.failures == summary.runs for summary, _ in results.values()):
+        print("every run failed; no outputs written", file=sys.stderr)
         return 2
     _write_outputs(out_dir, results, scenario)
     print(f"outputs in {out_dir}/")
@@ -389,16 +358,10 @@ def _cmd_emit_config(args) -> int:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.command == "run":
-            return _cmd_run(args)
-        if args.command == "compare":
-            return _cmd_compare(args)
-        if args.command == "emit-config":
-            return _cmd_emit_config(args)
+        return args.handler(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
-    raise AssertionError("unreachable")
 
 
 if __name__ == "__main__":

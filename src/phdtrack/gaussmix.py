@@ -296,14 +296,10 @@ def sample_mixture(mixture: GaussianMixture, count: int,
         raise NumericalCheckError("cannot sample from a mixture with zero mass")
     idx = select_by_weight(mixture.weights, rng.random(count))
     z = rng.standard_normal((count, n))
-    used = np.unique(idx)
     try:
-        chols = np.linalg.cholesky(mixture.covs[used])
+        chols = np.linalg.cholesky(mixture.covs[idx])
     except np.linalg.LinAlgError as exc:
         raise np.linalg.LinAlgError(
             "component covariance is not positive definite; apply the covariance floor upstream"
         ) from exc
-    lookup = np.empty(len(mixture), dtype=int)
-    lookup[used] = np.arange(used.size)
-    scale = chols[lookup[idx]]
-    return idx, mixture.means[idx] + np.einsum("kij,kj->ki", scale, z)
+    return idx, mixture.means[idx] + np.einsum("kij,kj->ki", chols, z)

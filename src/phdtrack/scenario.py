@@ -312,25 +312,22 @@ def run_monte_carlo(config: ScenarioConfig,
     total_wall = time.perf_counter() - started
     good = [r for r in records if not r.failed]
     ks = np.arange(1, config.n_steps + 1)
-    if good:
-        def per_step(attr):
-            return np.array([[getattr(s, attr) for s in r.steps] for r in good]).mean(axis=0)
 
-        summary = MonteCarloSummary(
-            filter_kind=config.filter_kind,
-            ks=ks,
-            mean_ospa=per_step("ospa_total"),
-            mean_ospa_loc=per_step("ospa_loc"),
-            mean_ospa_card=per_step("ospa_card"),
-            mean_n_hat=per_step("n_hat"),
-            mean_n_components=per_step("n_components"),
-            mean_wall_time=per_step("wall_time"),
-            runs=config.runs,
-            failures=len(records) - len(good),
-            total_wall_time=total_wall,
-        )
-    else:
-        nan = np.full(ks.shape, np.nan)
-        summary = MonteCarloSummary(config.filter_kind, ks, nan, nan, nan, nan, nan, nan,
-                                    config.runs, config.runs, total_wall)
-    return summary, records
+    def per_step(attr):
+        if not good:
+            return np.full(ks.shape, np.nan)
+        return np.array([[getattr(s, attr) for s in r.steps] for r in good]).mean(axis=0)
+
+    return MonteCarloSummary(
+        filter_kind=config.filter_kind,
+        ks=ks,
+        mean_ospa=per_step("ospa_total"),
+        mean_ospa_loc=per_step("ospa_loc"),
+        mean_ospa_card=per_step("ospa_card"),
+        mean_n_hat=per_step("n_hat"),
+        mean_n_components=per_step("n_components"),
+        mean_wall_time=per_step("wall_time"),
+        runs=config.runs,
+        failures=len(records) - len(good),
+        total_wall_time=total_wall,
+    ), records

@@ -3,6 +3,7 @@
 import csv
 import json
 import os
+import warnings
 from dataclasses import fields, is_dataclass, replace
 
 import numpy as np
@@ -390,3 +391,68 @@ def test_run_deterministic_outputs(tmp_path):
     a = (outs[0] / "states_engm.csv").read_bytes()
     b = (outs[1] / "states_engm.csv").read_bytes()
     assert a == b
+
+
+# ---------------------------------------------------------------------------
+# numerical failures
+
+
+def _fail_updates(monkeypatch, kinds):
+    """Make every run of each of `kinds` fail at its first update."""
+    import phdtrack.scenario as scenario
+    from phdtrack.gaussmix import NumericalCheckError
+
+    def broken(*args):
+        raise NumericalCheckError("bad mass")
+
+    for kind in kinds:
+        monkeypatch.setattr(scenario, f"{kind}_update", broken)
+
+
+def _failure_lines(kind, runs, seed):
+    return [f"{kind} run {r} (seed {seed + r}): numerical failure at step 1, "
+            f"stage update: bad mass" for r in range(runs)]
+
+
+@pytest.mark.parametrize("command", [["run", "--filter", "gm"], ["compare"]],
+                         ids=["run", "compare"])
+def test_every_run_failed_exits_2_and_writes_nothing(tmp_path, monkeypatch, capsys, command):
+    config = write_config(tmp_path, t_end=3.0, runs=2, budget=30, seed=5)
+    kinds = ["gm"] if command[0] == "run" else ["gm", "smc", "engm"]
+    _fail_updates(monkeypatch, kinds)
+    out_dir = tmp_path / "out"
+    assert main(command + ["--config", config, "--out-dir", str(out_dir),
+                           "--threads", "1"]) == 2
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    for kind in kinds:
+        assert f"{kind}: 0/2 runs ok, mean OSPA nan over the settled window, " in captured.out
+        for line in _failure_lines(kind, 2, 5):
+            assert line in err
+    assert not out_dir.exists()
+
+
+def test_compare_with_one_filter_failing_writes_every_file(tmp_path, monkeypatch, capsys):
+    config = write_config(tmp_path, t_end=3.0, runs=2, budget=30, seed=5)
+    _fail_updates(monkeypatch, ["gm"])
+    out_dir = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["compare", "--config", config, "--out-dir", str(out_dir),
+                     "--threads", "1"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == _failure_lines("gm", 2, 5)
+    out = captured.out.splitlines()
+    assert out[0].startswith("gm: 0/2 runs ok, mean OSPA nan over the settled window, ")
+    assert out[1].startswith("smc: 2/2 runs ok, mean OSPA ")
+    assert out[2].startswith("engm: 2/2 runs ok, mean OSPA ")
+    assert out[3] == f"outputs in {out_dir}/"
+    for kind in ("gm", "smc", "engm"):
+        for name in (f"records_{kind}.csv", f"states_{kind}.csv"):
+            assert (out_dir / name).exists()
+    # a failed run has no steps, so gm's record and state files hold only their headers
+    assert (out_dir / "records_gm.csv").read_text(encoding="utf-8") == RECORD_HEADER + "\n"
+    efficiency = (out_dir / "efficiency.csv").read_text(encoding="utf-8").splitlines()
+    assert efficiency[1].startswith("gm,nan,")
+    meta = json.loads((out_dir / "meta.json").read_text(encoding="utf-8"))
+    assert meta["failures"] == {"gm": 2, "smc": 0, "engm": 0}
