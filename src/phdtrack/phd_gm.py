@@ -13,6 +13,7 @@ covariances it computes and nothing else (see gaussmix).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,10 +21,16 @@ import numpy as np
 from . import models as _models
 from .gaussmix import GaussianMixture, check_covariances, exp_skip_underflow, floor_covariances
 
-# Candidate seeds per batch of merge distances.  The greedy loop does no
-# linear algebra at any size from 16 to 64; 64 added about 1.3 MB of
-# (block, J, n) temporaries to a gm run's peak memory, 32 about 0.4 MB.
-MERGE_BLOCK = 32
+# Candidate pairs per batch of merge distances: a batch takes unmerged
+# seeds, in greedy order, until their windows hold this many unmerged
+# candidates (always at least one seed).  A pair holds about 0.4 kB of
+# temporaries, so a batch about 1.6 MB, whatever the mixture's size.
+MERGE_PAIRS = 4096
+# Relative widening of each seed's x-window.  A computed distance is at
+# least its first whitened coordinate squared, up to the roundings of the
+# difference, division and square; with those of the window's half-width
+# they move its edge by under 1e-15 of it, a thousandth of this slack.
+WINDOW_SLACK = 1e-12
 
 
 @dataclass(frozen=True)
@@ -169,10 +176,19 @@ def prune_merge_cap(mixture: GaussianMixture, config: GmPhdConfig,
     the output mass equals the input mass, and every survivor is its own
     part.
 
-    The kept covariances are inverted once, so each of them must be
-    invertible, not only the seeds'.  Distances use each seed's inverse and
-    are computed in blocks of MERGE_BLOCK (32) candidate seeds, taken in
-    stable order of decreasing weight; the greedy order is unchanged.
+    Every kept covariance is factored once, by one batched Cholesky
+    factorization, so each must be positive definite, not only the seeds':
+    one that is not PSD raises check_covariances' NumericalCheckError
+    ("PSD"), and a singular PSD one the factorization's LinAlgError.  The
+    distance of j from seed s is d2 = |L_s^-1 (m_j - m_s)|^2, L_s the seed's
+    factor, found by forward substitution.  Its first whitened coordinate is
+    (x_j - x_s) / L_s[0, 0], so d2 <= threshold needs |x_j - x_s| <=
+    sqrt(threshold * P_s[0, 0]) (for an SPD P, d2 >= dx^2 / P_xx by
+    Cauchy-Schwarz): each seed tests only the components in that window
+    of the first coordinate, widened by WINDOW_SLACK, which two binary
+    searches over the means sorted by x find.  Seeds are taken in stable
+    order of decreasing weight, in batches of about MERGE_PAIRS candidate
+    pairs; the greedy order is unchanged.
     """
     if budget < 1:
         raise ValueError(f"budget must be >= 1, got {budget}")
@@ -187,23 +203,14 @@ def prune_merge_cap(mixture: GaussianMixture, config: GmPhdConfig,
     w = mixture.weights[keep]
     m = mixture.means[keep]
     p = mixture.covs[keep]
-    inv = np.linalg.inv(p)
-    order = np.argsort(-w, kind="stable")
-    unmerged = np.ones(len(w), dtype=bool)
-    label = np.empty(len(w), dtype=np.intp)
-    seeds = []
-    for start in range(0, len(w), MERGE_BLOCK):
-        block = order[start:start + MERGE_BLOCK]
-        block = block[unmerged[block]]
-        diff = m[None] - m[block, None]
-        d2 = np.einsum("sjd,sjd->sj", diff @ inv[block], diff)
-        for seed, within in zip(block, d2 <= config.merge_threshold):
-            if unmerged[seed]:
-                cluster = unmerged & within
-                unmerged &= ~cluster
-                label[cluster] = len(seeds)
-                seeds.append(seed)
+    try:
+        chol = np.linalg.cholesky(p)
+    except np.linalg.LinAlgError:
+        check_covariances(p)  # names a matrix that is not PSD
+        raise
+    seeds, label = _greedy_clusters(w, m, chol, config.merge_threshold)
     seeds = np.array(seeds)
+    label = np.array(label)
     merged_w, merged_m, merged_p = w[seeds], m[seeds], p[seeds]
     # a cluster of one is its seed alone; it goes through the same
     # arithmetic as a larger cluster, element by element, so the bits match
@@ -231,6 +238,67 @@ def prune_merge_cap(mixture: GaussianMixture, config: GmPhdConfig,
     check_covariances(p)
     w = w * (pre_mass / w.sum())
     return GaussianMixture._assemble(w, m, p)
+
+
+def _greedy_clusters(w, m, chol, threshold):
+    """prune_merge_cap's seeds, in greedy order, and each component's cluster number."""
+    n, d = m.shape
+    x = m[:, 0]
+    by_x = x.argsort(kind="stable")
+    reach = chol[:, 0, 0] * (threshold ** 0.5 * (1.0 + WINDOW_SLACK))
+    lo = x[by_x].searchsorted(x - reach, "left")
+    hi = x[by_x].searchsorted(x + reach, "right")
+    # one row per coordinate or factor entry, the pairs along it: the means,
+    # each factor's diagonal, then below it, column j over L[j, j]
+    diag = chol.reshape(n, d * d)[:, ::d + 1]
+    planes = np.concatenate([m.T, diag.T, (chol / diag[:, None, :]).T[_below_diagonal(d)]])
+    unmerged = bytearray(b"\x01") * n
+    live = np.frombuffer(unmerged, dtype=bool)
+    label, seeds = [0] * n, []
+    # seeds still to visit, in greedy order; order[i]'s unmerged candidates are pos[a[i]:b[i]]
+    order = (-w).argsort(kind="stable")
+    pos, a, b = by_x, lo[order], hi[order]
+    while True:
+        lens = b - a
+        ends = lens.cumsum()
+        take = max(1, int(ends.searchsorted(MERGE_PAIRS, "right")))
+        batch, lens, ends = order[:take], lens[:take], ends[:take]
+        cp = pos[(b[:take] - ends).repeat(lens) + np.arange(ends[-1])]
+        # forward substitution, column by column, every pair of the batch at once
+        lp = planes.take(batch.repeat(lens), axis=1)
+        r = planes[:d].take(cp, axis=1) - lp[:d]
+        o = 2 * d
+        for i in range(d - 1):
+            r[i + 1:] -= lp[o:o + d - 1 - i] * r[i]
+            o += d - 1 - i
+        r /= lp[d:2 * d]
+        hit = (np.einsum("ip,ip->p", r, r) <= threshold).nonzero()[0]
+        near = cp[hit].tolist()
+        start = 0
+        for s, stop in zip(batch.tolist(), hit.searchsorted(ends).tolist()):
+            if unmerged[s]:
+                label[s] = len(seeds)
+                unmerged[s] = 0
+                for j in near[start:stop]:
+                    if unmerged[j]:
+                        label[j] = len(seeds)
+                        unmerged[j] = 0
+                seeds.append(s)
+            start = stop
+        order = order[take:]
+        order = order[live[order]]
+        if not order.size:
+            return seeds, label
+        in_x = live[by_x]
+        pos = by_x[in_x]
+        cum = np.concatenate(([0], in_x.cumsum()))
+        a, b = cum[lo[order]], cum[hi[order]]
+
+
+@functools.cache
+def _below_diagonal(d):
+    """Column and row of each entry below the diagonal of a d x d matrix, column by column."""
+    return np.nonzero(np.tri(d, k=-1, dtype=bool).T)
 
 
 def gm_extract(mixture: GaussianMixture) -> tuple[int, np.ndarray]:

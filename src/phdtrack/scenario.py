@@ -48,7 +48,8 @@ class ScenarioConfig:
     """Everything needed to reproduce one experiment.
 
     A run covers t in [0, t_end] in steps of models.motion.dt, the step
-    the filters predict over, so truth and filters share one clock.  The
+    the filters predict over, so truth and filters share one clock; a
+    t_end that rounds to no step is a ValueError.  The
     budget sizes the smc and engm clouds and caps gm's managed mixture.
     A truth that no scan can measure, as at the radar's origin, is a ValueError.
     """
@@ -68,8 +69,9 @@ class ScenarioConfig:
                            np.atleast_2d(np.asarray(self.initial_targets, dtype=float)))
         if self.filter_kind not in FILTER_KINDS:
             raise ValueError(f"filter_kind must be one of {FILTER_KINDS}, got {self.filter_kind!r}")
-        if self.t_end < 0:
-            raise ValueError("need t_end >= 0")
+        if self.n_steps < 1:
+            raise ValueError(f"t_end = {self.t_end} gives no step of dt = {self.models.motion.dt}; "
+                             "need t_end / dt to round to at least 1")
         if self.budget < 1:
             raise ValueError("budget must be >= 1")
         if self.runs < 1:

@@ -360,7 +360,7 @@ def test_flags_beat_environment(tmp_path, monkeypatch, capsys):
     assert "PHDTRACK_" not in capsys.readouterr().out
 
 
-def test_config_errors_exit_code(tmp_path):
+def test_config_errors_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.ini"
     bad.write_text("[scenario]\nwarp = 1\n", encoding="utf-8")
     assert main(["run", "--filter", "engm", "--config", str(bad)]) == 1
@@ -371,6 +371,13 @@ def test_config_errors_exit_code(tmp_path):
     assert main(["run", "--filter", "smc", "--config", str(bad)]) == 1
     # a flag value that the scenario rejects
     assert main(["run", "--filter", "smc", "--runs", "0"]) == 1
+    # a run of no step, which would write tables without a step row
+    capsys.readouterr()
+    config = write_config(tmp_path, t_end=0.0)
+    assert main(["compare", "--config", config, "--out-dir", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err.startswith(
+        "config error: invalid configuration: t_end = 0.0 gives no step of dt = 1.0")
+    assert not (tmp_path / "out").exists()
     with pytest.raises(SystemExit) as exc:
         main(["run", "--filter", "bogus"])
     assert exc.value.code == 1

@@ -594,25 +594,36 @@ def test_merge_matches_one_solve_per_seed(seed, count, dim, budget, merge_thresh
                          reference_prune_merge_cap(mix, config, budget))
 
 
-def test_merge_across_distance_blocks():
-    block = phd_gm.MERGE_BLOCK
-    count = 3 * block + 10
+def straddling_mixture(count, block):
+    """count components 100 apart in y, with unit variance there, and x
+    within [-1, 1] against P_xx = 1e6, so that every x-window holds every
+    component; only those placed next to another merge.  Ranked by weight,
+    batches of `block` seeds straddle their clusters."""
     rank_weight = 1.0 - 0.004 * np.arange(count)
-    # far apart on the x axis, unit covariances: every component its own
-    # cluster unless placed next to another
     means = np.zeros((count, 6))
-    means[:, 0] = 100.0 * np.arange(count)
+    means[:, 0] = np.random.default_rng(3).uniform(-1.0, 1.0, count)
+    means[:, 1] = 100.0 * np.arange(count)
     # a cluster seeded at rank 0 with members ranked in the second and
-    # third blocks, so it straddles the blocks and its members' own blocks
-    # skip them
-    means[[block + 5, 2 * block + 7], 0] = [1.0, -1.0]
-    # the last seed of the first block takes the first of the second
-    means[block, 0] = means[block - 1, 0] + 1.5
-    # a cluster inside the second block, seeded after skipped components
-    means[block + 9, 0] = means[block + 8, 0] + 0.5
+    # third batches, so it straddles the batches and its members' own
+    # batches skip them
+    means[[block + 5, count - 3], 1] = [1.0, -1.0]
+    # the last seed of the first batch takes the first of the second
+    means[block, 1] = means[block - 1, 1] + 1.5
+    # a cluster inside the second batch, seeded after skipped components
+    means[block + 9, 1] = means[block + 8, 1] + 0.5
+    covs = np.broadcast_to(np.diag([1e6, 1.0, 1.0, 1.0, 1.0, 1.0]), (count, 6, 6)).copy()
     order = np.random.default_rng(7).permutation(count)
-    mix = GaussianMixture(rank_weight[order], means[order],
-                          np.broadcast_to(np.eye(6), (count, 6, 6)).copy())
+    return GaussianMixture(rank_weight[order], means[order], covs)
+
+
+def test_merge_across_distance_blocks():
+    # every window holds every live component, so a batch of k seeds holds
+    # k times the live count of pairs: the batches are the 31 heaviest
+    # seeds (4096 // 130), then 42 of the 96 still unmerged and the 54
+    # that remain
+    count = 130
+    block = phd_gm.MERGE_PAIRS // count
+    mix = straddling_mixture(count, block)
     config = GmPhdConfig()
     assert len(reference_prune_merge_cap(mix, config, count)) == count - 4
     assert_bit_identical(prune_merge_cap(mix, config, count),
@@ -620,6 +631,100 @@ def test_merge_across_distance_blocks():
     managed = prune_merge_cap(mix, config, block + 20)
     assert len(managed) == block + 20
     assert_bit_identical(managed, reference_prune_merge_cap(mix, config, block + 20))
+
+
+@pytest.mark.parametrize("pairs", [1, 10**9], ids=["one-seed", "one-batch"])
+def test_merge_does_not_depend_on_the_pair_budget(monkeypatch, pairs):
+    mix = straddling_mixture(130, 31)
+    expected = prune_merge_cap(mix, GmPhdConfig(), 130)
+    monkeypatch.setattr(phd_gm, "MERGE_PAIRS", pairs)
+    assert_bit_identical(prune_merge_cap(mix, GmPhdConfig(), 130), expected)
+
+
+@pytest.mark.parametrize("base", [0.0, 1e4, -3.7e5])
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+@pytest.mark.parametrize("p_xx, dx", [(1.0, 2.0), (2.25, 3.0), (0.0625, 0.5)])
+def test_merge_takes_a_pair_at_exactly_the_window_edge(base, sign, p_xx, dx):
+    # dx = sqrt(threshold * P_xx) exactly, and nothing else apart: d2 is
+    # exactly the threshold 4, the edge of the seed's x-window, and merges
+    cov = np.diag([p_xx, 1.0, 1.0, 1.0, 1.0, 1.0])
+    means = np.zeros((2, 6))
+    means[:, 0] = [base, base + sign * dx]
+    mix = GaussianMixture(np.array([0.6, 0.3]), means, np.stack([cov, cov]))
+    managed = prune_merge_cap(mix, GmPhdConfig(), BUDGET)
+    assert len(managed) == 1
+    assert_bit_identical(managed, reference_prune_merge_cap(mix, GmPhdConfig(), BUDGET))
+    # a hair beyond, it stays apart
+    means[1, 0] = np.nextafter(means[1, 0], base + sign * 2.0 * dx)
+    mix = GaussianMixture(np.array([0.6, 0.3]), means, np.stack([cov, cov]))
+    assert len(prune_merge_cap(mix, GmPhdConfig(), BUDGET)) == 2
+
+
+@pytest.mark.parametrize("axis", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("scale", [0.99, 1.01])
+def test_merge_decides_a_pair_apart_off_the_x_axis_as_the_oracle(axis, scale):
+    # the same x, so the x-window admits the pair, and a correlated
+    # covariance: the whitened test alone decides, on either side of the
+    # threshold
+    rng = np.random.default_rng(axis)
+    factor = rng.normal(size=(6, 6))
+    cov = factor @ factor.T / 6 + 0.1 * np.eye(6)
+    cov = 0.5 * (cov + cov.T)
+    offset = np.zeros(6)
+    offset[axis] = np.sqrt(scale * 4.0 / np.linalg.solve(cov, np.eye(6)[axis])[axis])
+    means = np.stack([np.full(6, 5.0), np.full(6, 5.0) + offset])
+    mix = GaussianMixture(np.array([0.6, 0.3]), means, np.stack([cov, cov]))
+    managed = prune_merge_cap(mix, GmPhdConfig(), BUDGET)
+    assert len(managed) == (1 if scale < 1 else 2)
+    assert_bit_identical(managed, reference_prune_merge_cap(mix, GmPhdConfig(), BUDGET))
+
+
+@pytest.mark.parametrize("spread", [0.0, 0.3], ids=["one-point", "jittered"])
+def test_merge_of_a_dense_mixture_matches_the_oracle_in_bounded_memory(spread):
+    # 400 co-located components kept at prune threshold 0: every window
+    # holds all of them.  Whitening every pair in one batch peaks at 29-48
+    # MB; batches of MERGE_PAIRS pairs keep the peak near 2 MB.
+    import tracemalloc
+
+    rng = np.random.default_rng(5)
+    count = 400
+    mix = random_mixture(rng, count, 6)
+    mix = GaussianMixture(mix.weights, spread * rng.normal(size=(count, 6)), 0.01 * mix.covs)
+    config = GmPhdConfig(prune_threshold=0.0)
+    d2 = pairwise_d2(mix, config)
+    assert not np.any(np.abs(d2 - config.merge_threshold) <= 1e-9 * config.merge_threshold)
+    tracemalloc.start()
+    try:
+        managed = prune_merge_cap(mix, config, count)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+    expected = reference_prune_merge_cap(mix, config, count)
+    assert 1 <= len(expected) < count
+    assert_bit_identical(managed, expected)
+
+
+@pytest.mark.parametrize("rate", [10.0, 0.0], ids=["reference", "clean"])
+def test_merge_matches_the_oracle_on_scenario_mixtures(monkeypatch, rate):
+    # the corrected mixtures of 20 seeded steps of each benchmark workload
+    import phdtrack.scenario as scenario
+
+    seen = []
+    real = scenario.prune_merge_cap
+
+    def capture(mixture, config, budget):
+        seen.append((mixture, config, budget))
+        return real(mixture, config, budget)
+
+    monkeypatch.setattr(scenario, "prune_merge_cap", capture)
+    scenario.run_filter(scenario.ScenarioConfig(
+        models=Models(clutter=ClutterModel(rate=rate)), filter_kind="gm", seed=0, t_end=20.0,
+        runs=1))
+    assert len(seen) == 20
+    for mixture, config, budget in seen:
+        assert_bit_identical(prune_merge_cap(mixture, config, budget),
+                             reference_prune_merge_cap(mixture, config, budget))
 
 
 @pytest.mark.parametrize("singular, far", [(0, 50.0), (1, 50.0), (1, 0.5)],

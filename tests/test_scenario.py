@@ -54,6 +54,12 @@ def test_config_validation():
         ScenarioConfig(budget=0)
     with pytest.raises(ValueError):
         ScenarioConfig(runs=0)
+    # t_end / dt rounds to no step (0.5 rounds to 0): nothing to score
+    for t_end, dt in [(0.0, 1.0), (0.5, 1.0), (1.25, 2.5)]:
+        models = Models(motion=MotionModel(dt=dt, process_noise=dwna_process_noise(dt, 0.05)))
+        with pytest.raises(ValueError, match=rf"t_end = {t_end} gives no step of dt = {dt}"):
+            ScenarioConfig(t_end=t_end, models=models)
+    assert ScenarioConfig(t_end=0.6, runs=1).n_steps == 1
 
 
 AT_ORIGIN_AT_STEP_5 = np.array([[5.0, 5.0, 5.0, -1.0, -1.0, -1.0]])
@@ -366,6 +372,33 @@ def test_seeded_run_takes_no_eigendecomposition(monkeypatch, kind):
         monkeypatch.setattr(np.linalg, name, counted(getattr(np.linalg, name)))
     run_filter(config)
     assert calls == []
+
+
+def test_seeded_merge_takes_no_inverse(monkeypatch):
+    # prune_merge_cap factors each kept covariance and whitens through the
+    # factor; gm_update's inverse of S, outside it, shows the count is live
+    import phdtrack.scenario as scenario
+
+    config = ScenarioConfig(t_end=20.0, seed=0, filter_kind="gm", runs=1)
+    real_inv, real_merge = np.linalg.inv, scenario.prune_merge_cap
+    merging, calls = [False], []
+
+    def inv(*args, **kwargs):
+        calls.append(merging[0])
+        return real_inv(*args, **kwargs)
+
+    def merge(*args):
+        merging[0] = True
+        try:
+            return real_merge(*args)
+        finally:
+            merging[0] = False
+
+    monkeypatch.setattr(np.linalg, "inv", inv)
+    monkeypatch.setattr(scenario, "prune_merge_cap", merge)
+    run_filter(config)
+    assert calls.count(False) > 0
+    assert calls.count(True) == 0
 
 # Per-step outputs of the reference scenario (seed 0, first 20 steps):
 # n_hat, OSPA and component count.  n_hat and OSPA were recorded before
