@@ -22,12 +22,10 @@ through GaussianMixture._assemble, which trusts covariances that were
 already checked, so a matrix carried from step to step is not re-checked.
 
 The covariance floor (floor_covariances) keeps the corrector's posterior
-covariances away from singularity.  Its common case, where no matrix
-needs the floor, costs one batched Cholesky factorization; the
-eigenvalues are computed only when that fails.  Where the floor leaves its
-input unchanged, its factorization has proved the PSD test, so the
-corrector checks its posterior only where the floor acted; a matrix the
-floor cannot mend still fails check_covariances.
+covariances and the KDE's kernels away from singularity.  Where it leaves
+its input unchanged, its one batched Cholesky factorization has proved the
+PSD test, so both check their covariances only where the floor acted; a
+matrix the floor cannot mend still fails check_covariances.
 
 Failed in-run checks raise NumericalCheckError, a ValueError, so that a
 run can tell a numerical failure from a programming error.
@@ -90,9 +88,9 @@ def floor_covariances(covs: np.ndarray) -> np.ndarray:
     factorization of covs - eps*I shows that every smallest eigenvalue
     clears its eps, and the input is then returned unchanged (same object,
     no copy).  Only when that factorization fails are the eigenvalues
-    computed, and just the matrices below their eps are inflated.  The two
-    tests agree except within roundoff of eps, where either answer is
-    exact to working precision.
+    computed and the matrices below their eps inflated, in a copy even
+    when none is: only a proved input comes back itself.  The two tests
+    agree except within roundoff of eps, where either answer is exact.
     """
     covs = np.asarray(covs, dtype=float)
     if covs.shape[0] == 0:
@@ -100,12 +98,14 @@ def floor_covariances(covs: np.ndarray) -> np.ndarray:
     n = covs.shape[-1]
     eps = FLOOR_SCALE * (1.0 + np.trace(covs, axis1=-2, axis2=-1) / n)
     try:
-        np.linalg.cholesky(covs - eps[:, None, None] * np.eye(n))
+        # a NaN passes the factorization but leaves its mark in the factor
+        if np.isfinite(np.linalg.cholesky(covs - eps[:, None, None] * np.eye(n))).all():
+            return covs
     except np.linalg.LinAlgError:
-        mask = np.linalg.eigvalsh(covs)[..., 0] < eps
-        if np.any(mask):
-            covs = covs.copy()
-            covs[mask] += eps[mask, None, None] * np.eye(n)
+        pass
+    mask = np.linalg.eigvalsh(covs)[..., 0] < eps
+    covs = covs.copy()
+    covs[mask] += eps[mask, None, None] * np.eye(n)
     return covs
 
 
@@ -197,16 +197,16 @@ class GaussianMixture:
         return cls(np.zeros(0), np.zeros((0, dim)), np.zeros((0, dim, dim)))
 
 
-def silverman_bandwidth(dim: int, count: int) -> float:
+def silverman_bandwidth(dim: int, count: int | np.ndarray) -> float | np.ndarray:
     """Silverman rule-of-thumb bandwidth scaling for a Gaussian kernel.
 
     Returns (4 / (dim + 2))**(2 / (dim + 4)) * count**(-2 / (dim + 4)),
     the scalar multiplying the sample covariance in a kernel density
-    estimate.  Decreases monotonically in count for fixed dim.
+    estimate, elementwise over an array of counts.  Decreasing in count.
     """
-    if dim < 1 or count < 1:
+    if dim < 1 or np.any(count < 1):
         raise ValueError(f"need dim >= 1 and count >= 1, got dim={dim}, count={count}")
-    return float((4.0 / (dim + 2)) ** (2.0 / (dim + 4)) * count ** (-2.0 / (dim + 4)))
+    return (4.0 / (dim + 2)) ** (2.0 / (dim + 4)) * count ** (-2.0 / (dim + 4))
 
 
 def kde_from_particles(states: np.ndarray, mass: float,
@@ -224,10 +224,12 @@ def kde_from_particles(states: np.ndarray, mass: float,
     the spread of any one.  The kernel describes the shape of the cloud,
     so it does not depend on the mass, which only scales the weights; a
     single part at mass 1 is the kernel of the single-target ensemble
-    filter.  A part of at most dim particles has a singular sample
-    covariance, so it uses the covariance pooled within the parts
-    (denominator J - number of parts; zero when that is 0).  A covariance
-    too close to singular gets the covariance floor.  The returned
+    filter.  Each part's scatter is one product of the parts-by-particles
+    one-hot matrix with the residuals' outer products, symmetrized.  A
+    part of at most dim particles has a singular sample covariance, so it
+    uses the covariance pooled within the P parts, the scatters' sum over
+    J - P (zero when that is 0).  A kernel too close to singular gets the
+    covariance floor, and only floored kernels are checked.  The returned
     mixture carries the labels.
     """
     states = np.asarray(states, dtype=float)
@@ -240,18 +242,29 @@ def kde_from_particles(states: np.ndarray, mass: float,
     if parts.shape != (j,):
         raise ValueError(f"parts must have one label per particle, got shape {parts.shape}")
     _, inverse, counts = np.unique(parts, return_inverse=True, return_counts=True)
-    centres = np.stack([np.bincount(inverse, weights=col, minlength=counts.size)
-                        for col in states.T], axis=1)
-    resid = states - (centres / counts[:, None])[inverse]
-    dof = j - counts.size
-    pooled = resid.T @ resid / dof if dof > 0 else np.zeros((n, n))
-    kernels = np.empty((counts.size, n, n))
-    for label, count in enumerate(counts):
-        base = np.atleast_2d(np.cov(states[inverse == label].T, ddof=1)) if count > n else pooled
-        kernels[label] = silverman_bandwidth(n, int(count)) * base
-    kernels = floor_covariances(kernels)
-    check_covariances(kernels)
-    return GaussianMixture._assemble(np.full(j, mass / j), states.copy(), kernels[inverse], parts)
+    onehot = (inverse == np.arange(counts.size)[:, None]).astype(float)
+    resid = states - (onehot @ states / counts[:, None])[inverse]
+    scatter = (onehot @ (resid[:, :, None] * resid[:, None, :]).reshape(j, n * n)).reshape(-1, n, n)
+    scatter = 0.5 * (scatter + np.swapaxes(scatter, -1, -2))
+    scatter[counts <= n] = scatter.sum(axis=0) / (j - counts.size) if j > counts.size else 0.0
+    scatter[counts > n] /= (counts[counts > n] - 1)[:, None, None]
+    kernels = silverman_bandwidth(n, counts)[:, None, None] * scatter
+    floored = floor_covariances(kernels)
+    if floored is not kernels:
+        check_covariances(floored)
+    return GaussianMixture._assemble(np.full(j, mass / j), states.copy(), floored[inverse], parts)
+
+
+def whitener(chol: np.ndarray) -> np.ndarray:
+    """W = L^-1 for a (..., d, d) stack of lower factors L, row by row on the stack:
+    W[i, :i + 1] = (e_i - L[i, :i] W[:i, :i + 1]) / L[i, i], and W is 0 above its diagonal."""
+    eye = np.eye(chol.shape[-1])
+    w = np.zeros_like(chol)
+    w[..., 0, 0] = 1.0 / chol[..., 0, 0]
+    for i in range(1, len(eye)):
+        known = (chol[..., i, None, :i] @ w[..., :i, :i + 1])[..., 0, :]
+        w[..., i, :i + 1] = (eye[i, :i + 1] - known) / chol[..., i, i, None]
+    return w
 
 
 def exp_skip_underflow(x: np.ndarray) -> np.ndarray:

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .gaussmix import check_covariances
+from .gaussmix import check_covariances, whitener
 
 STATE_DIM = 6
 TWO_PI = 2.0 * np.pi
@@ -92,13 +92,13 @@ def wrap_angular(x: np.ndarray, angular: np.ndarray) -> np.ndarray:
 
 
 def _whiten(noise_cov: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
-    """(L, W, log_norm) with R = L L' and W = L^-1, so that noise draws are
-    L e and log N(z; eta, R) = log_norm - |W (z - eta)|^2 / 2.  A ValueError
-    unless R is positive definite."""
+    """(L, W, log_norm) with R = L L' and W = L^-1, taken by whitener as the
+    corrector takes it, so that noise draws are L e and log N(z; eta, R) =
+    log_norm - |W (z - eta)|^2 / 2.  A ValueError unless R is PD."""
     check_covariances(noise_cov[None])
     chol = np.linalg.cholesky(noise_cov)  # LinAlgError, a ValueError, unless R is PD
     log_norm = -0.5 * noise_cov.shape[0] * np.log(TWO_PI) - np.log(np.diag(chol)).sum()
-    return chol, np.tril(np.linalg.inv(chol)), log_norm
+    return chol, whitener(chol), log_norm
 
 
 @dataclass(frozen=True)
@@ -236,7 +236,7 @@ class LinearMeasurementModel:
 
     def position(self, z: np.ndarray) -> np.ndarray:
         """The Cartesian position (..., 3) that measures as z without noise."""
-        return np.asarray(z, dtype=float) @ np.linalg.inv(self._position_block()).T
+        return np.linalg.solve(self._position_block(), np.asarray(z)[..., None])[..., 0]
 
     def volume_element(self, z: np.ndarray) -> np.ndarray:
         """|det d(position)/dz| = 1 / |det A|, constant over z."""

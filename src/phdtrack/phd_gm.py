@@ -19,7 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import models as _models
-from .gaussmix import GaussianMixture, check_covariances, exp_skip_underflow, floor_covariances
+from .gaussmix import (GaussianMixture, check_covariances, exp_skip_underflow, floor_covariances,
+                       whitener)
 
 # Candidate pairs per batch of merge distances: a batch takes unmerged
 # seeds, in greedy order, until their windows hold this many unmerged
@@ -96,13 +97,13 @@ def gm_update(prior: GaussianMixture, scan: "_models.MeasurementScan",
     order.  This is the one corrector: the ensemble filter applies it to
     its KDE prior as engm_update.
 
-    S, K and the posterior covariance are computed once per component,
-    since none of them depends on the measurement.  One Cholesky
-    factorization of S gives its log determinant and rejects an S that is
-    not positive definite (LinAlgError).  The posterior covariance is
-    exactly symmetric, and where the floor leaves it unchanged the floor's
-    own factorization has proved it PSD, so it is checked only where the
-    floor acted.  The innovations,
+    S = H P H' + R is factored once per component, as it does not depend
+    on the measurement: its Cholesky factor L gives log|S| and rejects an
+    S that is not positive definite (LinAlgError), and W = L^-1 (whitener)
+    the quadratic forms |W v|^2 and, with G = (W H P)' = P H' W', the
+    means m + G (W v) and the covariance P - G G', symmetrized.  Where the
+    floor leaves that unchanged, the floor's own factorization has proved
+    it PSD, so it is checked only where the floor acted.  The innovations,
     likelihoods, weights and corrected means of all M measurements in one
     pass over every (measurement, component) pair.
     """
@@ -127,24 +128,21 @@ def gm_update(prior: GaussianMixture, scan: "_models.MeasurementScan",
         if np.any(ok):
             h[ok] = meas.jacobian(m[ok])
             eta[ok] = meas.measure(m[ok])
-        ht = np.swapaxes(h, -1, -2)
         hp = h @ p
-        s = hp @ ht + r
-        s = 0.5 * (s + np.swapaxes(s, -1, -2))
-        log_det = 2.0 * np.log(np.diagonal(np.linalg.cholesky(s), axis1=-2, axis2=-1)).sum(-1)
-        s_inv = np.linalg.inv(s)
-        k_gain = p @ ht @ s_inv
-        p_post = p - k_gain @ hp
+        chol = np.linalg.cholesky(hp @ np.swapaxes(h, -1, -2) + r)  # reads S's lower triangle
+        log_norm = r.shape[0] * np.log(2.0 * np.pi) + 2.0 * np.log(chol.diagonal(0, -2, -1)).sum(-1)
+        wht = whitener(chol)
+        gt = wht @ hp  # G' = W H P, one (z_dim, n) block per component
+        p_post = p - np.swapaxes(gt, -1, -2) @ gt
         p_sym = 0.5 * (p_post + np.swapaxes(p_post, -1, -2))
         p_post = floor_covariances(p_sym)
         if p_post is not p_sym:
             check_covariances(p_post)
-        # every measurement against every component at once: innovations
-        # held component-major, (J, M, z_dim), so that each component's
-        # S^-1 and K apply to all its M innovations in one matmul
+        # every measurement against every component at once, component-major
+        # (J, M, z_dim): each component's W and G take its M innovations in one matmul
         innov = _models.wrap_angular(scan.values[None, :, :] - eta[:, None, :], meas.angular)
-        quad = np.sum((innov @ s_inv) * innov, axis=-1).T
-        log_norm = r.shape[0] * np.log(2.0 * np.pi) + log_det
+        white = innov @ np.swapaxes(wht, -1, -2)
+        quad = np.sum(white * white, axis=-1).T
         like = exp_skip_underflow(-0.5 * (quad + log_norm))
         like[:, ~ok] = 0.0
         numer = p_d * w * like
@@ -153,8 +151,7 @@ def gm_update(prior: GaussianMixture, scan: "_models.MeasurementScan",
         # an all-zero block
         out_w.append(np.divide(numer, denom[:, None], out=np.zeros_like(numer),
                                where=denom[:, None] > 0).ravel())
-        out_m.append((m + np.swapaxes(innov @ np.swapaxes(k_gain, -1, -2), 0, 1))
-                     .reshape(-1, prior.dim))
+        out_m.append((m + np.swapaxes(white @ gt, 0, 1)).reshape(-1, prior.dim))
         # M references to one block: the final concatenate is the only copy
         out_p.extend([p_post] * len(scan))
     return GaussianMixture._assemble(np.concatenate(out_w), np.concatenate(out_m),

@@ -18,6 +18,7 @@ from phdtrack.gaussmix import (
     sample_mixture,
     select_by_weight,
     silverman_bandwidth,
+    whitener,
 )
 
 
@@ -50,6 +51,14 @@ def test_silverman_rejects_degenerate_arguments():
         silverman_bandwidth(0, 10)
     with pytest.raises(ValueError):
         silverman_bandwidth(3, 0)
+    with pytest.raises(ValueError):
+        silverman_bandwidth(3, np.array([4, 0]))
+
+
+def test_silverman_of_an_array_is_the_scalar_rule_per_count():
+    counts = np.array([1, 2, 7, 250])
+    assert np.array_equal(silverman_bandwidth(6, counts),
+                          [silverman_bandwidth(6, int(c)) for c in counts])
 
 
 # ---------------------------------------------------------------------------
@@ -84,6 +93,18 @@ def test_floor_covariances_returns_a_healthy_stack_itself():
     rng = np.random.default_rng(5)
     covs = np.stack([random_spd(rng, 3) for _ in range(4)] + [with_smallest_eigenvalue(rng, 1.5)])
     assert floor_covariances(covs) is covs
+
+
+def test_floor_covariances_never_passes_a_nan_as_proved():
+    # a NaN can get through the factorization without an error; the floor
+    # must not then return its input as proved, or a caller that checks
+    # only what the floor acted on would let the NaN through
+    nan = np.eye(3)[None].repeat(2, axis=0)
+    nan[1, 2, 0] = nan[1, 0, 2] = np.nan
+    with pytest.raises((np.linalg.LinAlgError, NumericalCheckError)):
+        floored = floor_covariances(nan)
+        if floored is not nan:
+            check_covariances(floored)
 
 
 def test_floor_covariances_batched_matches_scalar():
@@ -370,6 +391,59 @@ def test_kde_with_one_part_is_the_shared_kernel():
         kde_from_particles(states, 2.0, np.zeros(29, dtype=int))
 
 
+def per_part_kde_kernels(states, parts):
+    """kde_from_particles' kernels, one per particle, as they were before
+    every part's scatter came from one product: the pooled residual
+    scatter, then np.cov of each part in a loop, and every kernel checked.
+    Kept verbatim as the oracle."""
+    j, n = states.shape
+    _, inverse, counts = np.unique(parts, return_inverse=True, return_counts=True)
+    centres = np.stack([np.bincount(inverse, weights=col, minlength=counts.size)
+                        for col in states.T], axis=1)
+    resid = states - (centres / counts[:, None])[inverse]
+    dof = j - counts.size
+    pooled = resid.T @ resid / dof if dof > 0 else np.zeros((n, n))
+    kernels = np.empty((counts.size, n, n))
+    for label, count in enumerate(counts):
+        base = np.atleast_2d(np.cov(states[inverse == label].T, ddof=1)) if count > n else pooled
+        kernels[label] = silverman_bandwidth(n, int(count)) * base
+    kernels = floor_covariances(kernels)
+    check_covariances(kernels)
+    return kernels[inverse]
+
+
+def part_layout(rng, layout, n):
+    """Part labels of one of the layouts kde_from_particles distinguishes."""
+    if layout == "one":
+        return np.full(int(rng.integers(1, 60)), 3)
+    if layout == "singletons":
+        # J - P = 0: a zero pooled scatter, then the floor
+        return rng.permutation(int(rng.integers(1, 12))) * 5 - 7
+    sizes = rng.integers(n + 1, n + 25, size=int(rng.integers(1, 5)))
+    if layout == "small":
+        # one or two parts of at most n particles take the pooled kernel
+        sizes = np.concatenate([sizes, rng.integers(1, n + 1, size=int(rng.integers(1, 3)))])
+    labels = rng.choice(1000, size=sizes.size, replace=False)
+    return rng.permutation(np.repeat(labels, sizes))
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 6),
+       layout=st.sampled_from(["one", "unsorted", "small", "singletons"]))
+def test_kde_matches_the_per_part_loop(seed, n, layout):
+    rng = np.random.default_rng(seed)
+    parts = part_layout(rng, layout, n)
+    spread = 10.0 ** rng.uniform(-2.0, 2.0)
+    # every part a cloud at most about 100 spreads from the origin
+    centres = rng.uniform(-100.0, 100.0, size=(parts.max() - parts.min() + 1, n)) * spread
+    states = centres[parts - parts.min()] + spread * rng.standard_normal((parts.size, n))
+    kde = kde_from_particles(states, 1.0, parts)
+    want = per_part_kde_kernels(states, parts)
+    assert np.array_equal(kde.covs, np.swapaxes(kde.covs, -1, -2))
+    for got, cov in zip(kde.covs, want):
+        assert np.all(np.abs(got - cov) <= 1e-12 * np.abs(cov).max())
+
+
 def test_kde_single_particle_gets_floor():
     kde = kde_from_particles(np.array([[1.0, 2.0, 3.0]]), 2.0)
     assert len(kde) == 1
@@ -393,6 +467,24 @@ def test_kde_rejects_bad_input():
         kde_from_particles(np.zeros((4, 3)), 0.0)
     with pytest.raises(ValueError):
         kde_from_particles(np.zeros((4, 3)), -1.0)
+
+
+# ---------------------------------------------------------------------------
+# whitener
+
+
+@pytest.mark.parametrize("d", range(1, 7))
+def test_whitener_inverts_lower_factors(d):
+    rng = np.random.default_rng(40 + d)
+    a = rng.standard_normal((5, d, d))
+    chol = np.linalg.cholesky(a @ np.swapaxes(a, -1, -2) + 0.1 * np.eye(d))
+    for lower in (chol, chol[0]):
+        w = whitener(lower)
+        assert w.shape == lower.shape
+        assert np.array_equal(np.triu(w, 1), np.zeros_like(w))
+        inv = np.linalg.inv(lower)
+        scale = np.abs(inv).max(axis=(-2, -1), keepdims=True)
+        assert np.all(np.abs(w - inv) <= 1e-12 * scale)
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,12 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from phdtrack.gaussmix import GaussianMixture, floor_covariances
+from phdtrack.gaussmix import (
+    GaussianMixture,
+    check_covariances,
+    exp_skip_underflow,
+    floor_covariances,
+)
 from phdtrack.models import (
     BirthModel,
     ClutterModel,
@@ -391,6 +396,154 @@ def test_update_mass_ledger(seed, count, meas_count, p_detect, log_kappa):
     want = (1.0 - p_detect) * prior.mass + np.sum(sums / (kappa + sums))
     # a mass that underflows to a subnormal keeps no relative precision
     assert gm_update(prior, scan, models).mass == pytest.approx(want, rel=1e-12, abs=1e-300)
+
+
+def inverse_gm_update(prior, scan, models):
+    """gm_update as it was before S was factored once: a Cholesky of S for
+    its log determinant, then inv(S) for the gain K and the quadratic forms.
+    Kept verbatim as the oracle for the whitened corrector."""
+    p_d = models.detection.p_detect
+    meas = models.measurement
+    kappa = models.clutter.intensity(scan.values, meas)
+    w, m, p = prior.weights, prior.means, prior.covs
+    j = len(prior)
+    out_w = [(1.0 - p_d) * w]
+    out_m = [m]
+    out_p = [p]
+    first = int(prior.parts.max(initial=-1)) + 1
+    out_parts = np.concatenate([prior.parts, np.repeat(np.arange(first, first + len(scan)), j)])
+    if len(scan) and j:
+        # components where the measurement map cannot be linearized (the
+        # radar is singular at the origin and on the z-axis) keep H = 0 and
+        # zero detection likelihood: they persist only as missed detections
+        ok = meas.linearizable(m)
+        r = np.asarray(meas.noise_cov, dtype=float)
+        h = np.zeros((j, r.shape[0], prior.dim))
+        eta = np.zeros((j, r.shape[0]))
+        if np.any(ok):
+            h[ok] = meas.jacobian(m[ok])
+            eta[ok] = meas.measure(m[ok])
+        ht = np.swapaxes(h, -1, -2)
+        hp = h @ p
+        s = hp @ ht + r
+        s = 0.5 * (s + np.swapaxes(s, -1, -2))
+        log_det = 2.0 * np.log(np.diagonal(np.linalg.cholesky(s), axis1=-2, axis2=-1)).sum(-1)
+        s_inv = np.linalg.inv(s)
+        k_gain = p @ ht @ s_inv
+        p_post = p - k_gain @ hp
+        p_sym = 0.5 * (p_post + np.swapaxes(p_post, -1, -2))
+        p_post = floor_covariances(p_sym)
+        if p_post is not p_sym:
+            check_covariances(p_post)
+        # every measurement against every component at once: innovations
+        # held component-major, (J, M, z_dim), so that each component's
+        # S^-1 and K apply to all its M innovations in one matmul
+        innov = wrap_angular(scan.values[None, :, :] - eta[:, None, :], meas.angular)
+        quad = np.sum((innov @ s_inv) * innov, axis=-1).T
+        log_norm = r.shape[0] * np.log(2.0 * np.pi) + log_det
+        like = exp_skip_underflow(-0.5 * (quad + log_norm))
+        like[:, ~ok] = 0.0
+        numer = p_d * w * like
+        denom = kappa + numer.sum(axis=1)
+        # a measurement with no clutter and no detection likelihood gets
+        # an all-zero block
+        out_w.append(np.divide(numer, denom[:, None], out=np.zeros_like(numer),
+                               where=denom[:, None] > 0).ravel())
+        out_m.append((m + np.swapaxes(innov @ np.swapaxes(k_gain, -1, -2), 0, 1))
+                     .reshape(-1, prior.dim))
+        # M references to one block: the final concatenate is the only copy
+        out_p.extend([p_post] * len(scan))
+    return GaussianMixture._assemble(np.concatenate(out_w), np.concatenate(out_m),
+                                     np.concatenate(out_p), out_parts)
+
+
+def assert_matches_inverse_corrector(prior, scan, models):
+    """Parts bit for bit; weights within 1e-12 relative, times |log w| below
+    1/e; each mean within 1e-12 of its largest entry; each covariance within
+    1e-12 of the largest entry of the prior covariance it corrects.
+
+    A weight is about exp(-q/2), so the roundoff of the quadratic form q
+    moves it by q/2 times that roundoff, relatively: on engm's inputs a
+    weight of 5e-298 differs by 1.9e-12.  P+ = P - G G' cancels down from
+    P's scale, so either form's roundoff is relative to P: P+ differs by
+    up to 1.5e-12 of its own largest entry but 1e-15 of P's."""
+    got = gm_update(prior, scan, models)
+    want = inverse_gm_update(prior, scan, models)
+    assert np.array_equal(got.parts, want.parts)
+    w = want.weights
+    tol = 1e-12 * w * np.maximum(1.0, -np.log(np.maximum(w, 1e-300)))
+    assert np.all(np.abs(got.weights - w) <= tol + 1e-300)
+    for g, w in zip(got.means, want.means):
+        assert_close_to_scale(g, w)
+    scale = np.abs(np.tile(prior.covs, (len(scan) + 1, 1, 1))).max(axis=(1, 2))
+    assert np.all(np.abs(got.covs - want.covs).max(axis=(1, 2)) <= 1e-12 * scale)
+    return got
+
+
+@pytest.mark.parametrize("kind", ["gm", "engm"])
+@pytest.mark.parametrize("rate", [10.0, 0.0], ids=["reference", "clean"])
+def test_update_matches_the_inverse_corrector_on_scenario_inputs(monkeypatch, kind, rate):
+    # every corrector input of 20 seeded steps of each benchmark workload
+    import phdtrack.scenario as scenario
+
+    name = "gm_update" if kind == "gm" else "engm_update"
+    seen = []
+    real = getattr(scenario, name)
+
+    def capture(prior, scan, models):
+        seen.append((prior, scan, models))
+        return real(prior, scan, models)
+
+    monkeypatch.setattr(scenario, name, capture)
+    scenario.run_filter(scenario.ScenarioConfig(
+        models=Models(clutter=ClutterModel(rate=rate)), filter_kind=kind, seed=0, t_end=20.0,
+        runs=1))
+    assert len(seen) == 20
+    for args in seen:
+        assert_matches_inverse_corrector(*args)
+
+
+def test_update_matches_the_inverse_corrector_under_a_correlated_noise():
+    rng = np.random.default_rng(21)
+    a = rng.standard_normal((3, 3))
+    r = a @ a.T + 0.5 * np.eye(3)
+    h = np.hstack([rng.standard_normal((3, 3)), np.zeros((3, 3))])
+    models = Models(measurement=LinearMeasurementModel(h, r),
+                    clutter=ClutterModel(kappa_override=1e-4))
+    factors = rng.standard_normal((12, 6, 6))
+    covs = factors @ np.swapaxes(factors, -1, -2) + np.eye(6)
+    prior = GaussianMixture(rng.uniform(0.01, 1.0, 12), rng.normal(scale=20.0, size=(12, 6)),
+                            0.5 * (covs + np.swapaxes(covs, -1, -2)))
+    z = prior.means[:5] @ h.T + rng.standard_normal((5, 3)) @ np.linalg.cholesky(r).T
+    corrected = assert_matches_inverse_corrector(prior, MeasurementScan(z), models)
+    assert corrected.weights[12:].sum() > 0.5
+
+
+def test_update_keeps_a_component_on_the_z_axis_as_a_missed_detection_only():
+    # the radar cannot be linearized on its z-axis: H = 0, so S = R, and the
+    # component's corrected copies keep its mean and covariance at weight 0
+    models = Models()
+    x = np.array([[0.0, 0.0, 120.0, 0.0, 0.0, 1.0], [60.0, 70.0, 80.0, 0.5, -0.5, 2.0]])
+    prior = GaussianMixture(np.array([0.7, 0.9]), x,
+                            np.diag([25.0, 25.0, 25.0, 1.0, 1.0, 1.0])[None].repeat(2, axis=0))
+    scan = MeasurementScan(models.measurement.measure(x[1:]) + [[0.5, 0.0, 0.0], [-0.5, 0.0, 0.0]])
+    corrected = assert_matches_inverse_corrector(prior, scan, models)
+    axis = np.arange(2, len(corrected), 2)
+    assert np.all(corrected.weights[axis] == 0.0)
+    assert np.array_equal(corrected.means[axis], x[[0, 0]])
+    assert np.array_equal(corrected.covs[axis], prior.covs[[0, 0]])
+
+
+def test_update_rejects_an_innovation_covariance_that_is_not_positive_definite():
+    # a prior covariance that never passed a check makes S = H P H' + R
+    # indefinite, and S's one Cholesky factorization fails
+    models = Models()
+    x = np.array([60.0, 70.0, 80.0, 0.5, -0.5, 2.0])
+    prior = GaussianMixture._assemble(np.array([1.0]), x[None],
+                                      np.diag([-100.0, -100.0, -100.0, 1.0, 1.0, 1.0])[None])
+    scan = MeasurementScan(models.measurement.measure(x)[None])
+    with pytest.raises(np.linalg.LinAlgError):
+        gm_update(prior, scan, models)
 
 
 def test_prune_drops_light_components_but_keeps_mass():

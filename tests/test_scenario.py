@@ -374,31 +374,25 @@ def test_seeded_run_takes_no_eigendecomposition(monkeypatch, kind):
     assert calls == []
 
 
-def test_seeded_merge_takes_no_inverse(monkeypatch):
-    # prune_merge_cap factors each kept covariance and whitens through the
-    # factor; gm_update's inverse of S, outside it, shows the count is live
+@pytest.mark.parametrize("kind, predict", [("gm", "gm_predict"), ("engm", "engm_predict")])
+def test_run_filter_names_an_innovation_covariance_that_is_not_positive_definite(
+        monkeypatch, kind, predict):
+    # a predicted covariance that never passed a check makes S = H P H' + R
+    # indefinite: the corrector's one factorization of S fails, at update
     import phdtrack.scenario as scenario
 
-    config = ScenarioConfig(t_end=20.0, seed=0, filter_kind="gm", runs=1)
-    real_inv, real_merge = np.linalg.inv, scenario.prune_merge_cap
-    merging, calls = [False], []
+    def indefinite(*args):
+        x = np.array([60.0, 70.0, 80.0, 0.5, -0.5, 2.0])
+        return GaussianMixture._assemble(np.array([1.0]), x[None],
+                                         np.diag([-100.0, -100.0, -100.0, 1.0, 1.0, 1.0])[None])
 
-    def inv(*args, **kwargs):
-        calls.append(merging[0])
-        return real_inv(*args, **kwargs)
+    monkeypatch.setattr(scenario, predict, indefinite)
+    with pytest.raises(FilterNumericalError) as info:
+        run_filter(tiny_config(filter_kind=kind))
+    assert (info.value.step, info.value.stage) == (1, "update")
+    assert "step 1, stage update:" in str(info.value)
+    assert type(info.value.__cause__) is np.linalg.LinAlgError
 
-    def merge(*args):
-        merging[0] = True
-        try:
-            return real_merge(*args)
-        finally:
-            merging[0] = False
-
-    monkeypatch.setattr(np.linalg, "inv", inv)
-    monkeypatch.setattr(scenario, "prune_merge_cap", merge)
-    run_filter(config)
-    assert calls.count(False) > 0
-    assert calls.count(True) == 0
 
 # Per-step outputs of the reference scenario (seed 0, first 20 steps):
 # n_hat, OSPA and component count.  n_hat and OSPA were recorded before
