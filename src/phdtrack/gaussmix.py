@@ -87,10 +87,11 @@ def floor_covariances(covs: np.ndarray) -> np.ndarray:
     large covariances are floored proportionally.  One batched Cholesky
     factorization of covs - eps*I shows that every smallest eigenvalue
     clears its eps, and the input is then returned unchanged (same object,
-    no copy).  Only when that factorization fails are the eigenvalues
-    computed and the matrices below their eps inflated, in a copy even
-    when none is: only a proved input comes back itself.  The two tests
-    agree except within roundoff of eps, where either answer is exact.
+    no copy).  Only when that factorization fails are the eigenvalues of
+    the stack computed, once it is shown finite (else NumericalCheckError),
+    and the matrices below their eps inflated, in a copy even when none is:
+    only a proved input comes back itself.  The two tests agree except
+    within roundoff of eps, where either answer is exact.
     """
     covs = np.asarray(covs, dtype=float)
     if covs.shape[0] == 0:
@@ -103,6 +104,8 @@ def floor_covariances(covs: np.ndarray) -> np.ndarray:
             return covs
     except np.linalg.LinAlgError:
         pass
+    if not np.isfinite(covs).all():
+        raise NumericalCheckError("covariances must be finite")
     mask = np.linalg.eigvalsh(covs)[..., 0] < eps
     covs = covs.copy()
     covs[mask] += eps[mask, None, None] * np.eye(n)

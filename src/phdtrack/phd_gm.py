@@ -168,24 +168,25 @@ def prune_merge_cap(mixture: GaussianMixture, config: GmPhdConfig,
     that the mass survives the rescaling.  Surviving components are merged
     greedily: the heaviest remaining component seeds a cluster of
     everything within the merge threshold, measured as squared Mahalanobis
-    distance in the seed's covariance, and the cluster is moment-matched.
-    At most `budget` survive, by weight.  All weights are then rescaled so
-    the output mass equals the input mass, and every survivor is its own
-    part.
+    distance in the seed's covariance.  A cluster of two or more is
+    moment-matched; a cluster of one is its seed, bit for bit.  At most
+    `budget` survive, by weight.  All weights are then rescaled so the
+    output mass equals the input mass, and every survivor is its own part.
 
     Every kept covariance is factored once, by one batched Cholesky
     factorization, so each must be positive definite, not only the seeds':
     one that is not PSD raises check_covariances' NumericalCheckError
-    ("PSD"), and a singular PSD one the factorization's LinAlgError.  The
-    distance of j from seed s is d2 = |L_s^-1 (m_j - m_s)|^2, L_s the seed's
-    factor, found by forward substitution.  Its first whitened coordinate is
-    (x_j - x_s) / L_s[0, 0], so d2 <= threshold needs |x_j - x_s| <=
-    sqrt(threshold * P_s[0, 0]) (for an SPD P, d2 >= dx^2 / P_xx by
-    Cauchy-Schwarz): each seed tests only the components in that window
-    of the first coordinate, widened by WINDOW_SLACK, which two binary
-    searches over the means sorted by x find.  Seeds are taken in stable
-    order of decreasing weight, in batches of about MERGE_PAIRS candidate
-    pairs; the greedy order is unchanged.
+    ("PSD"), and a singular PSD one the factorization's LinAlgError.  Of
+    the merged covariances only the moment-matched ones are checked:
+    every other was proved where it was computed.  The distance of j from
+    seed s is d2 = |L_s^-1 (m_j - m_s)|^2, L_s the seed's factor, found by
+    forward substitution; its first whitened coordinate is (x_j - x_s) /
+    L_s[0, 0], so d2 <= threshold needs |x_j - x_s| <= sqrt(threshold *
+    P_s[0, 0]) (for an SPD P, d2 >= dx^2 / P_xx by Cauchy-Schwarz).  Each
+    seed whitens only the components in that x-window, widened by
+    WINDOW_SLACK and found by two binary searches over the means sorted by
+    x, that come after it in the greedy order (stable, by decreasing
+    weight): one that comes before it is merged by then.
     """
     if budget < 1:
         raise ValueError(f"budget must be >= 1, got {budget}")
@@ -206,19 +207,9 @@ def prune_merge_cap(mixture: GaussianMixture, config: GmPhdConfig,
         check_covariances(p)  # names a matrix that is not PSD
         raise
     seeds, label = _greedy_clusters(w, m, chol, config.merge_threshold)
-    seeds = np.array(seeds)
-    label = np.array(label)
     merged_w, merged_m, merged_p = w[seeds], m[seeds], p[seeds]
-    # a cluster of one is its seed alone; it goes through the same
-    # arithmetic as a larger cluster, element by element, so the bits match
-    single = np.bincount(label, minlength=len(seeds)) == 1
-    sw, sm = merged_w[single, None], merged_m[single]
-    mean = sw * sm / sw
-    dm = sm - mean
-    cov = sw[:, :, None] * (merged_p[single] + dm[:, :, None] * dm[:, None, :]) / sw[:, :, None]
-    merged_m[single] = mean
-    merged_p[single] = 0.5 * (cov + np.swapaxes(cov, -1, -2))
-    for k in np.flatnonzero(~single):
+    multi = np.flatnonzero(np.bincount(label, minlength=len(seeds)) > 1)
+    for k in multi:
         cluster = np.flatnonzero(label == k)
         cw = w[cluster]
         total = cw.sum()
@@ -228,11 +219,11 @@ def prune_merge_cap(mixture: GaussianMixture, config: GmPhdConfig,
         merged_w[k] = total
         merged_m[k] = mean
         merged_p[k] = 0.5 * (cov + cov.T)
+    check_covariances(merged_p[multi])
     w, m, p = merged_w, merged_m, merged_p
     if w.size > budget:
         top = np.sort(np.argsort(-w, kind="stable")[:budget])
         w, m, p = w[top], m[top], p[top]
-    check_covariances(p)
     w = w * (pre_mass / w.sum())
     return GaussianMixture._assemble(w, m, p)
 
@@ -254,15 +245,20 @@ def _greedy_clusters(w, m, chol, threshold):
     label, seeds = [0] * n, []
     # seeds still to visit, in greedy order; order[i]'s unmerged candidates are pos[a[i]:b[i]]
     order = (-w).argsort(kind="stable")
+    rank = order.argsort()
     pos, a, b = by_x, lo[order], hi[order]
     while True:
         lens = b - a
         ends = lens.cumsum()
         take = max(1, int(ends.searchsorted(MERGE_PAIRS, "right")))
         batch, lens, ends = order[:take], lens[:take], ends[:take]
+        src = batch.repeat(lens)
         cp = pos[(b[:take] - ends).repeat(lens) + np.arange(ends[-1])]
+        ahead = rank[cp] > rank[src]  # one ranked at or before its seed is labelled by then
+        cp, src = cp[ahead], src[ahead]
+        ends = np.concatenate(([0], ahead.cumsum()))[ends]
         # forward substitution, column by column, every pair of the batch at once
-        lp = planes.take(batch.repeat(lens), axis=1)
+        lp = planes.take(src, axis=1)
         r = planes[:d].take(cp, axis=1) - lp[:d]
         o = 2 * d
         for i in range(d - 1):
@@ -285,7 +281,7 @@ def _greedy_clusters(w, m, chol, threshold):
         order = order[take:]
         order = order[live[order]]
         if not order.size:
-            return seeds, label
+            return np.array(seeds), np.array(label)
         in_x = live[by_x]
         pos = by_x[in_x]
         cum = np.concatenate(([0], in_x.cumsum()))

@@ -460,6 +460,15 @@ def test_kde_checks_its_kernels(monkeypatch):
         kde_from_particles(states, 1.0, np.repeat([0, 1], 10))
 
 
+def test_kde_names_a_scatter_that_overflows():
+    # the residual outer products overflow, and the one-hot product's 0 * inf
+    # spreads NaN into both parts' kernels: the floor names the cause
+    states = 1e160 * np.random.default_rng(0).standard_normal((20, 6))
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NumericalCheckError, match="covariances must be finite"):
+            kde_from_particles(states, 1.0, np.repeat([0, 1], 10))
+
+
 def test_kde_rejects_bad_input():
     with pytest.raises(ValueError):
         kde_from_particles(np.zeros((0, 3)), 1.0)

@@ -621,6 +621,42 @@ def test_merge_respects_threshold():
     assert managed.mass == pytest.approx(0.7, rel=1e-12)
 
 
+def test_merge_passes_a_lone_component_through_bit_for_bit():
+    # two components 500 m apart: each is a cluster of one, which is its
+    # seed as it is; a moment match w * m / w would round the bits away
+    rng = np.random.default_rng(2)
+    factor = rng.normal(size=(6, 6))
+    cov = factor @ factor.T + np.eye(6)
+    cov = 0.5 * (cov + cov.T)
+    means = rng.normal(scale=100.0, size=(2, 6))
+    means[1, 0] = means[0, 0] + 500.0
+    mix = GaussianMixture(rng.uniform(0.1, 1.0, 2), means, np.stack([cov, 2.0 * cov]))
+    managed = prune_merge_cap(mix, GmPhdConfig(), BUDGET)
+    order = np.argsort(-mix.weights)
+    assert np.array_equal(managed.means, mix.means[order])
+    assert np.array_equal(managed.covs, mix.covs[order])
+
+
+def test_merge_checks_only_the_moment_matched_covariances(monkeypatch):
+    # one two-member cluster and four lone components: every lone covariance
+    # was proved where it was computed, so only the merged one is checked
+    seen = []
+
+    def spy(covs):
+        seen.append(covs.copy())
+        check_covariances(covs)
+
+    monkeypatch.setattr(phd_gm, "check_covariances", spy)
+    means = np.zeros((6, 6))
+    means[:, 0] = [0.0, 0.5, 100.0, 200.0, 300.0, 400.0]
+    mix = GaussianMixture(np.array([0.9, 0.8, 0.7, 0.6, 0.5, 0.4]), means,
+                          np.broadcast_to(np.eye(6), (6, 6, 6)).copy())
+    managed = prune_merge_cap(mix, GmPhdConfig(), BUDGET)
+    assert len(managed) == 5
+    assert len(seen) == 1 and seen[0].shape == (1, 6, 6)
+    assert np.array_equal(seen[0][0], managed.covs[0])
+
+
 def chain_mixture(weights):
     """A, B, C on the x axis 1.5 apart with unit covariances: A-B and B-C lie
     within the merge threshold (squared distance 2.25 <= 4), A-C outside (9)."""
@@ -660,7 +696,8 @@ def test_merge_is_greedy_by_weight_along_a_chain(weights, clusters):
 def reference_prune_merge_cap(mixture, config, budget):
     """prune_merge_cap as it was before its merge distances were batched:
     one solve in the seed's covariance per greedy iteration.  Kept as the
-    oracle for the partition, the arithmetic and the output order."""
+    oracle for the partition, the arithmetic and the output order.  A
+    cluster of one is its seed as it is, with no moment match."""
     if len(mixture) == 0:
         return mixture
     pre_mass = mixture.mass
@@ -680,14 +717,19 @@ def reference_prune_merge_cap(mixture, config, budget):
         solved = np.linalg.solve(p[seed], diff.T)
         d2 = np.einsum("ij,ji->i", diff, solved)
         cluster = alive[d2 <= config.merge_threshold]
-        cw = w[cluster]
-        total = cw.sum()
-        mean = cw @ m[cluster] / total
-        dm = m[cluster] - mean
-        cov = np.einsum("a,aij->ij", cw, p[cluster] + dm[:, :, None] * dm[:, None, :]) / total
-        merged_w.append(total)
-        merged_m.append(mean)
-        merged_p.append(0.5 * (cov + cov.T))
+        if len(cluster) == 1:
+            merged_w.append(w[seed])
+            merged_m.append(m[seed])
+            merged_p.append(p[seed])
+        else:
+            cw = w[cluster]
+            total = cw.sum()
+            mean = cw @ m[cluster] / total
+            dm = m[cluster] - mean
+            cov = np.einsum("a,aij->ij", cw, p[cluster] + dm[:, :, None] * dm[:, None, :]) / total
+            merged_w.append(total)
+            merged_m.append(mean)
+            merged_p.append(0.5 * (cov + cov.T))
         unmerged[cluster] = False
         alive = np.flatnonzero(unmerged)
     w = np.array(merged_w)
