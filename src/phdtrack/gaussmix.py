@@ -12,20 +12,17 @@ Total mixture mass is the expected target count, so weights are free to
 sum to any nonnegative value; nothing here normalizes unless a routine
 says so explicitly (sampling normalizes an internal copy only).
 
-Every covariance is checked for symmetry and positive semidefiniteness
-once, by check_covariances, where it is computed.  A check that passes
-costs one batched Cholesky factorization, which is itself the proof of
-the PSD test; the eigenvalues are computed only when it fails.  The public
-GaussianMixture constructor checks every covariance it is given; the
-recursions check the covariances they compute and build their mixtures
-through GaussianMixture._assemble, which trusts covariances that were
-already checked, so a matrix carried from step to step is not re-checked.
-
-The covariance floor (floor_covariances) keeps the corrector's posterior
-covariances and the KDE's kernels away from singularity.  Where it leaves
-its input unchanged, its one batched Cholesky factorization has proved the
-PSD test, so both check their covariances only where the floor acted; a
-matrix the floor cannot mend still fails check_covariances.
+Every covariance is proved once, where it enters or is computed.  One
+given from outside (to the public GaussianMixture constructor, or a
+model's Q, birth covariance or R) is checked for symmetry and positive
+semidefiniteness by check_covariances.  One the recursions compute is
+symmetric by construction and goes through the covariance floor,
+floor_covariances, which returns only matrices that factor by Cholesky:
+what the merge and the sampler need of it.  The recursions build their
+mixtures through GaussianMixture._assemble, which trusts covariances so
+proved, and a matrix carried from step to step is not proved again.
+A proof that passes costs one batched Cholesky factorization; the
+eigenvalues are computed only when it fails.
 
 Failed in-run checks raise NumericalCheckError, a ValueError, so that a
 run can tell a numerical failure from a programming error.
@@ -61,7 +58,9 @@ def check_covariances(covs: np.ndarray) -> None:
     means no eigenvalue below EIG_TOL * s.  One batched Cholesky
     factorization of A - EIG_TOL * s * I proves the PSD test for the whole
     stack; only when it fails are the eigenvalues computed to decide.  An
-    empty stack passes.
+    empty stack passes.  For covariances given from outside; the
+    recursions prove theirs by floor_covariances, which calls this only
+    to name a matrix it cannot mend.
     """
     covs = np.asarray(covs, dtype=float)
     if len(covs) == 0:
@@ -81,17 +80,18 @@ def check_covariances(covs: np.ndarray) -> None:
 
 
 def floor_covariances(covs: np.ndarray) -> np.ndarray:
-    """Inflate by eps*I each (n, n) matrix of covs whose smallest eigenvalue is below eps.
+    """covs with eps*I added to each (n, n) matrix whose smallest eigenvalue is below eps.
 
-    eps = FLOOR_SCALE * (1 + trace(cov)/n) scales with each matrix, so that
-    large covariances are floored proportionally.  One batched Cholesky
-    factorization of covs - eps*I shows that every smallest eigenvalue
-    clears its eps, and the input is then returned unchanged (same object,
-    no copy).  Only when that factorization fails are the eigenvalues of
-    the stack computed, once it is shown finite (else NumericalCheckError),
-    and the matrices below their eps inflated, in a copy even when none is:
-    only a proved input comes back itself.  The two tests agree except
-    within roundoff of eps, where either answer is exact.
+    The proof of every covariance the recursions compute, symmetric by
+    construction: what it returns factors by Cholesky.  eps = FLOOR_SCALE
+    * (1 + trace(cov)/n) scales with each matrix.  If one batched Cholesky
+    factorization of covs - eps*I succeeds, every smallest eigenvalue
+    clears its eps and covs itself is returned.  Else the stack, shown
+    finite (else NumericalCheckError), has its eigenvalues computed and
+    the matrices below their eps inflated, in a copy, which is then
+    factored: on failure check_covariances names a matrix that is not PSD,
+    or the LinAlgError is raised.  The two tests of eps agree except
+    within roundoff of it, where either answer is exact.
     """
     covs = np.asarray(covs, dtype=float)
     if covs.shape[0] == 0:
@@ -109,6 +109,11 @@ def floor_covariances(covs: np.ndarray) -> np.ndarray:
     mask = np.linalg.eigvalsh(covs)[..., 0] < eps
     covs = covs.copy()
     covs[mask] += eps[mask, None, None] * np.eye(n)
+    try:
+        np.linalg.cholesky(covs)
+    except np.linalg.LinAlgError:
+        check_covariances(covs)  # names a matrix that is not PSD
+        raise
     return covs
 
 
@@ -141,14 +146,14 @@ class GaussianMixture:
 
     @classmethod
     def _assemble(cls, weights, means, covs, parts=None) -> "GaussianMixture":
-        """A mixture built from covariances that were already checked.
+        """A mixture built from covariances that were already proved.
 
-        The rule: every covariance passed in was checked once, by
-        check_covariances, where it was computed, or comes from a mixture
-        that was itself built under this rule or by the public
-        constructor.  The shapes, part labels, weights and means are
-        checked as the constructor checks them; only the covariance check
-        is skipped.
+        The rule: every covariance passed in was proved once, by
+        floor_covariances where it was computed or by check_covariances
+        where it was given, or comes from a mixture that was itself built
+        under this rule or by the public constructor.  The shapes, part
+        labels, weights and means are checked as the constructor checks
+        them; only the covariance check is skipped.
         """
         mixture = object.__new__(cls)
         for name, value in (("weights", weights), ("means", means), ("covs", covs),
@@ -231,9 +236,9 @@ def kde_from_particles(states: np.ndarray, mass: float,
     one-hot matrix with the residuals' outer products, symmetrized.  A
     part of at most dim particles has a singular sample covariance, so it
     uses the covariance pooled within the P parts, the scatters' sum over
-    J - P (zero when that is 0).  A kernel too close to singular gets the
-    covariance floor, and only floored kernels are checked.  The returned
-    mixture carries the labels.
+    J - P (zero when that is 0).  The covariance floor proves the kernels,
+    inflating one too close to singular.  The returned mixture carries the
+    labels.
     """
     states = np.asarray(states, dtype=float)
     if states.ndim != 2 or states.shape[0] < 1:
@@ -251,11 +256,8 @@ def kde_from_particles(states: np.ndarray, mass: float,
     scatter = 0.5 * (scatter + np.swapaxes(scatter, -1, -2))
     scatter[counts <= n] = scatter.sum(axis=0) / (j - counts.size) if j > counts.size else 0.0
     scatter[counts > n] /= (counts[counts > n] - 1)[:, None, None]
-    kernels = silverman_bandwidth(n, counts)[:, None, None] * scatter
-    floored = floor_covariances(kernels)
-    if floored is not kernels:
-        check_covariances(floored)
-    return GaussianMixture._assemble(np.full(j, mass / j), states.copy(), floored[inverse], parts)
+    kernels = floor_covariances(silverman_bandwidth(n, counts)[:, None, None] * scatter)
+    return GaussianMixture._assemble(np.full(j, mass / j), states.copy(), kernels[inverse], parts)
 
 
 def whitener(chol: np.ndarray) -> np.ndarray:

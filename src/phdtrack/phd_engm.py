@@ -67,7 +67,7 @@ def engm_predict(state: EngmPhdState, models: "_models.Models",
     birth_components as gm_predict draws them, follow as one new part.
     With zero survivor mass the birth components are returned alone; with
     no births either, that is the empty mixture.  Both pieces had their
-    covariances checked where they were computed, so joining them checks
+    covariances proved where they were computed, so joining them proves
     nothing new.
     """
     motion = models.motion

@@ -7,8 +7,9 @@ extended Kalman corrections, one missed-detection copy plus one corrected
 copy per measurement, and is the corrector of the ensemble filter too.
 Mixture growth is contained by prune / merge / cap, which preserves total
 mass by rescaling, under the scenario's budget.  The extraction,
-gm_extract, is the ensemble filter's too.  Each stage checks the
-covariances it computes and nothing else (see gaussmix).
+gm_extract, is the ensemble filter's too.  Each stage proves the
+covariances it computes, by the covariance floor, and nothing else (see
+gaussmix).
 """
 
 from __future__ import annotations
@@ -55,15 +56,14 @@ def gm_predict(posterior: GaussianMixture, models: "_models.Models",
     """Predicted mixture: survivors, then sampled births.
 
     Survivors keep their means under the transition matrix with covariance
-    F P F' + Q and weight scaled by p_survive.  The births are
-    birth_components.
+    F P F' + Q, symmetrized and proved by the covariance floor, and
+    weight scaled by p_survive.  The births are birth_components.
     """
     f = models.motion.transition
     q = models.motion.process_noise
     p_s = models.detection.p_survive
-    covs_pred = f @ posterior.covs @ f.T + q
-    covs = 0.5 * (covs_pred + np.swapaxes(covs_pred, -1, -2))
-    check_covariances(covs)
+    covs = f @ posterior.covs @ f.T + q
+    covs = floor_covariances(0.5 * (covs + np.swapaxes(covs, -1, -2)))
     births = birth_components(models.birth, rng)
     return GaussianMixture._assemble(np.concatenate([p_s * posterior.weights, births.weights]),
                                      np.concatenate([posterior.means @ f.T, births.means]),
@@ -101,11 +101,10 @@ def gm_update(prior: GaussianMixture, scan: "_models.MeasurementScan",
     on the measurement: its Cholesky factor L gives log|S| and rejects an
     S that is not positive definite (LinAlgError), and W = L^-1 (whitener)
     the quadratic forms |W v|^2 and, with G = (W H P)' = P H' W', the
-    means m + G (W v) and the covariance P - G G', symmetrized.  Where the
-    floor leaves that unchanged, the floor's own factorization has proved
-    it PSD, so it is checked only where the floor acted.  The innovations,
-    likelihoods, weights and corrected means of all M measurements in one
-    pass over every (measurement, component) pair.
+    means m + G (W v) and the covariance P - G G', symmetrized and proved
+    by the covariance floor.  The innovations, likelihoods, weights and
+    corrected means of all M measurements in one pass over every
+    (measurement, component) pair.
     """
     p_d = models.detection.p_detect
     meas = models.measurement
@@ -134,10 +133,7 @@ def gm_update(prior: GaussianMixture, scan: "_models.MeasurementScan",
         wht = whitener(chol)
         gt = wht @ hp  # G' = W H P, one (z_dim, n) block per component
         p_post = p - np.swapaxes(gt, -1, -2) @ gt
-        p_sym = 0.5 * (p_post + np.swapaxes(p_post, -1, -2))
-        p_post = floor_covariances(p_sym)
-        if p_post is not p_sym:
-            check_covariances(p_post)
+        p_post = floor_covariances(0.5 * (p_post + np.swapaxes(p_post, -1, -2)))
         # every measurement against every component at once, component-major
         # (J, M, z_dim): each component's W and G take its M innovations in one matmul
         innov = _models.wrap_angular(scan.values[None, :, :] - eta[:, None, :], meas.angular)
@@ -177,16 +173,17 @@ def prune_merge_cap(mixture: GaussianMixture, config: GmPhdConfig,
     factorization, so each must be positive definite, not only the seeds':
     one that is not PSD raises check_covariances' NumericalCheckError
     ("PSD"), and a singular PSD one the factorization's LinAlgError.  Of
-    the merged covariances only the moment-matched ones are checked:
-    every other was proved where it was computed.  The distance of j from
-    seed s is d2 = |L_s^-1 (m_j - m_s)|^2, L_s the seed's factor, found by
-    forward substitution; its first whitened coordinate is (x_j - x_s) /
-    L_s[0, 0], so d2 <= threshold needs |x_j - x_s| <= sqrt(threshold *
-    P_s[0, 0]) (for an SPD P, d2 >= dx^2 / P_xx by Cauchy-Schwarz).  Each
-    seed whitens only the components in that x-window, widened by
-    WINDOW_SLACK and found by two binary searches over the means sorted by
-    x, that come after it in the greedy order (stable, by decreasing
-    weight): one that comes before it is merged by then.
+    the merged covariances only the moment-matched ones are proved, by
+    the covariance floor: every other was proved where it was computed.
+    The distance of j from seed s is d2 = |L_s^-1 (m_j - m_s)|^2, L_s the
+    seed's factor, found by forward substitution; its first whitened
+    coordinate is (x_j - x_s) / L_s[0, 0], so d2 <= threshold needs
+    |x_j - x_s| <= sqrt(threshold * P_s[0, 0]) (for an SPD P, d2 >=
+    dx^2 / P_xx by Cauchy-Schwarz).  Each seed whitens only the components
+    in that x-window, widened by WINDOW_SLACK and found by two binary
+    searches over the means sorted by x, that come after it in the greedy
+    order (stable, by decreasing weight): one that comes before it is
+    merged by then.
     """
     if budget < 1:
         raise ValueError(f"budget must be >= 1, got {budget}")
@@ -219,7 +216,7 @@ def prune_merge_cap(mixture: GaussianMixture, config: GmPhdConfig,
         merged_w[k] = total
         merged_m[k] = mean
         merged_p[k] = 0.5 * (cov + cov.T)
-    check_covariances(merged_p[multi])
+    merged_p[multi] = floor_covariances(merged_p[multi])
     w, m, p = merged_w, merged_m, merged_p
     if w.size > budget:
         top = np.sort(np.argsort(-w, kind="stable")[:budget])

@@ -129,19 +129,19 @@ def smc_resample(updated: ParticleSet, count: int, rng: np.random.Generator) -> 
     return ParticleSet(updated.states[idx], np.full(count, mass / count))
 
 
-def _kmeans_seed(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
-    """k-means++ seeding: each center after the first is drawn by
-    select_by_weight over the squared distances to the centers so far."""
-    n = points.shape[0]
-    centers = np.empty((k, points.shape[1]))
-    centers[0] = points[rng.integers(n)]
+def _kmeans_seed(coords: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+    """k-means++ seeding over the coordinate planes (dim, n) of the points: each center
+    after the first is drawn by select_by_weight over the squared distances so far."""
+    n = coords.shape[1]
+    centers = np.empty((k, len(coords)))
+    centers[0] = coords[:, rng.integers(n)]
     d2 = np.full(n, np.inf)
     for j in range(1, k):
-        d2 = np.minimum(d2, np.sum((points - centers[j - 1]) ** 2, axis=1))
+        d2 = np.minimum(d2, np.sum((coords - centers[j - 1][:, None]) ** 2, axis=0))
         if d2.sum() <= 0.0:
-            centers[j:] = points[rng.integers(n, size=k - j)]
+            centers[j:] = coords[:, rng.integers(n, size=k - j)].T
             break
-        centers[j] = points[select_by_weight(d2, rng.random())]
+        centers[j] = coords[:, select_by_weight(d2, rng.random())]
     return centers
 
 
@@ -161,15 +161,19 @@ def kmeans_cluster(points: np.ndarray, k: int, rng: np.random.Generator,
     n, dim = points.shape
     if k >= n:
         return points.copy()
-    centers = np.stack([_kmeans_seed(points, k, rng) for _ in range(restarts)])
+    coords = points.T.copy()
+    centers = np.stack([_kmeans_seed(coords, k, rng) for _ in range(restarts)])
     assign = np.full((restarts, n), -1)
     live = np.arange(restarts)
-    coords = points.T.copy()
     for _ in range(iters):
         # (live, k, n): the coordinate axis first, so it is summed in order
         diff = coords[:, None, None] - centers[live].transpose(2, 0, 1)[..., None]
         d2 = np.sum(diff ** 2, axis=0)
         new_assign = d2.argmin(axis=1)
+        moved = np.any(new_assign != assign[live], axis=1)  # a repeat's centers are its means
+        live, new_assign, d2 = live[moved], new_assign[moved], d2[moved]
+        if not live.size:
+            break
         bins = np.arange(live.size)[:, None] * k + new_assign
         counts = np.bincount(bins.ravel(), minlength=live.size * k).reshape(-1, k)
         sums = np.bincount((bins[:, :, None] * dim + np.arange(dim)).ravel(),
@@ -182,11 +186,7 @@ def kmeans_cluster(points: np.ndarray, k: int, rng: np.random.Generator,
                     # revive an empty cluster at the worst-fit point
                     labels[d2[row, labels, np.arange(n)].argmax()] = j
                 means[row, j] = points[labels == j].mean(axis=0)
-        moved = np.any(new_assign != assign[live], axis=1)
         centers[live], assign[live] = means, new_assign
-        live = live[moved]
-        if not live.size:
-            break
     scores = np.sum((points - centers[np.arange(restarts)[:, None], assign]) ** 2, axis=(1, 2))
     scores[~np.isfinite(scores)] = np.inf
     best = scores.argmin()

@@ -97,14 +97,11 @@ def test_floor_covariances_returns_a_healthy_stack_itself():
 
 def test_floor_covariances_never_passes_a_nan_as_proved():
     # a NaN can get through the factorization without an error; the floor
-    # must not then return its input as proved, or a caller that checks
-    # only what the floor acted on would let the NaN through
+    # must not then return its input as proved, since no caller checks again
     nan = np.eye(3)[None].repeat(2, axis=0)
     nan[1, 2, 0] = nan[1, 0, 2] = np.nan
-    with pytest.raises((np.linalg.LinAlgError, NumericalCheckError)):
-        floored = floor_covariances(nan)
-        if floored is not nan:
-            check_covariances(floored)
+    with pytest.raises(NumericalCheckError, match="finite"):
+        floor_covariances(nan)
 
 
 def test_floor_covariances_batched_matches_scalar():
@@ -123,12 +120,33 @@ def test_floor_covariances_batched_matches_scalar():
     assert np.array_equal(covs[1], np.zeros((3, 3)))
 
 
-def test_floor_covariances_leaves_a_negative_definite_matrix_non_psd():
-    covs = np.stack([np.eye(3), -np.eye(3)])
-    out = floor_covariances(covs)
-    assert np.linalg.eigvalsh(out[1])[0] < EIG_TOL
-    with pytest.raises(ValueError, match="PSD"):
-        check_covariances(out)
+def test_floor_covariances_rejects_a_negative_definite_matrix():
+    # eps * I cannot lift -I: the floor names the matrix instead of returning it
+    with pytest.raises(NumericalCheckError, match="PSD"):
+        floor_covariances(np.stack([np.eye(3), -np.eye(3)]))
+
+
+def test_floor_covariances_rejects_what_it_cannot_make_factor():
+    # eps * I lifts a smallest eigenvalue of -1.05 eps to about -0.05 eps:
+    # within check_covariances' tolerance, but Cholesky rejects it
+    cov = with_smallest_eigenvalue(np.random.default_rng(7), -1.05)
+    with pytest.raises((NumericalCheckError, np.linalg.LinAlgError)):
+        floor_covariances(cov[None])
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       factors=st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=5))
+def test_floor_covariances_returns_only_stacks_that_factor(seed, factors):
+    # smallest eigenvalues from -3 eps to 3 eps, across the floor's edge at
+    # eps and the edge at -eps of what eps * I can lift
+    rng = np.random.default_rng(seed)
+    covs = np.stack([with_smallest_eigenvalue(rng, factor) for factor in factors])
+    try:
+        out = floor_covariances(covs)
+    except (NumericalCheckError, np.linalg.LinAlgError):
+        return
+    np.linalg.cholesky(out)
 
 
 # ---------------------------------------------------------------------------
@@ -453,8 +471,8 @@ def test_kde_single_particle_gets_floor():
 def test_kde_checks_its_kernels(monkeypatch):
     import phdtrack.gaussmix as gaussmix
 
-    monkeypatch.setattr(gaussmix, "floor_covariances",
-                        lambda covs: np.broadcast_to(-np.eye(covs.shape[-1]), covs.shape))
+    # a negative bandwidth makes every kernel negative definite
+    monkeypatch.setattr(gaussmix, "silverman_bandwidth", lambda dim, count: -np.ones(np.shape(count)))
     states = np.random.default_rng(14).standard_normal((20, 3))
     with pytest.raises(ValueError, match="PSD"):
         kde_from_particles(states, 1.0, np.repeat([0, 1], 10))

@@ -639,14 +639,15 @@ def test_merge_passes_a_lone_component_through_bit_for_bit():
 
 def test_merge_checks_only_the_moment_matched_covariances(monkeypatch):
     # one two-member cluster and four lone components: every lone covariance
-    # was proved where it was computed, so only the merged one is checked
+    # was proved where it was computed, so only the merged one goes through
+    # the floor
     seen = []
 
     def spy(covs):
         seen.append(covs.copy())
-        check_covariances(covs)
+        return floor_covariances(covs)
 
-    monkeypatch.setattr(phd_gm, "check_covariances", spy)
+    monkeypatch.setattr(phd_gm, "floor_covariances", spy)
     means = np.zeros((6, 6))
     means[:, 0] = [0.0, 0.5, 100.0, 200.0, 300.0, 400.0]
     mix = GaussianMixture(np.array([0.9, 0.8, 0.7, 0.6, 0.5, 0.4]), means,
@@ -1017,19 +1018,6 @@ def test_predict_checks_computed_covariances():
     posterior = GaussianMixture(np.array([1.0]), np.zeros((1, 6)), np.eye(6)[None])
     with pytest.raises(ValueError, match="PSD"):
         gm_predict(posterior, models, np.random.default_rng(0))
-
-
-def test_update_checks_posterior_covariances(monkeypatch):
-    import phdtrack.phd_gm as phd_gm
-
-    monkeypatch.setattr(phd_gm, "floor_covariances", lambda covs: -np.eye(6) + 0.0 * covs)
-    models = Models()
-    x = np.array([60.0, 70.0, 80.0, 0.5, -0.5, 2.0])
-    prior = GaussianMixture(np.array([1.0]), x[None],
-                            np.diag([25.0, 25.0, 25.0, 1.0, 1.0, 1.0])[None])
-    scan = MeasurementScan(models.measurement.measure(x)[None])
-    with pytest.raises(ValueError, match="PSD"):
-        gm_update(prior, scan, models)
 
 
 def test_update_rejects_a_posterior_the_floor_cannot_mend():

@@ -1,5 +1,7 @@
 """Truth simulation, scan generation, and the Monte Carlo driver."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -262,10 +264,29 @@ def _bad_process_noise(monkeypatch):
         dt=1.0, transition=transition_matrix(1.0), process_noise=-10.0 * np.eye(6)))}
 
 
-def _bad_floor(name):
+def _negative_prior(name):
+    """The predict stage `name` of scenario with every predicted covariance
+    -1e-6 I: S stays positive definite under the radar's noise, even for
+    engm's components within a metre of the radar (-0.01 I would not), but
+    P+ is negative definite, and the floor, eps * I, cannot lift it."""
     def corrupt(monkeypatch):
-        monkeypatch.setattr(name, _negative_definite)
+        import phdtrack.scenario as scenario
+
+        real = getattr(scenario, name)
+
+        def predict(*args):
+            prior = real(*args)
+            covs = np.broadcast_to(-1e-6 * np.eye(prior.dim), prior.covs.shape).copy()
+            return GaussianMixture._assemble(prior.weights, prior.means, covs, prior.parts)
+
+        monkeypatch.setattr(scenario, name, predict)
     return corrupt
+
+
+def _negative_bandwidth(monkeypatch):
+    # every KDE kernel negative definite
+    monkeypatch.setattr("phdtrack.gaussmix.silverman_bandwidth",
+                        lambda dim, count: -np.ones(np.shape(count)))
 
 
 def _unchecked_corrected_mixture(monkeypatch):
@@ -285,12 +306,12 @@ def _unchecked_corrected_mixture(monkeypatch):
     # gm_predict: the survivor covariances F P F' + Q
     ("gm", _bad_process_noise, "predict"),
     # gm_update (engm_update too): the posterior covariances of the measurement blocks
-    ("gm", _bad_floor("phdtrack.phd_gm.floor_covariances"), "update"),
-    ("engm", _bad_floor("phdtrack.phd_gm.floor_covariances"), "update"),
+    ("gm", _negative_prior("gm_predict"), "update"),
+    ("engm", _negative_prior("engm_predict"), "update"),
     # prune_merge_cap: the merged covariances
     ("gm", _unchecked_corrected_mixture, "manage"),
     # kde_from_particles: one kernel per part
-    ("engm", _bad_floor("phdtrack.gaussmix.floor_covariances"), "predict"),
+    ("engm", _negative_bandwidth, "predict"),
 ], ids=["gm-predict", "gm-update", "engm-update", "gm-merge", "engm-kde"])
 def test_run_filter_reports_a_bad_computed_covariance(monkeypatch, kind, corrupt, stage):
     overrides = corrupt(monkeypatch) or {}
@@ -301,6 +322,45 @@ def test_run_filter_reports_a_bad_computed_covariance(monkeypatch, kind, corrupt
     assert f"step 1, stage {stage}:" in str(info.value)
     assert type(info.value.__cause__) is NumericalCheckError
     assert "PSD" in str(info.value)
+
+
+@pytest.mark.parametrize("rate", [10.0, 0.0])
+@pytest.mark.parametrize("kind", ["gm", "engm"])
+def test_every_stack_the_floor_returns_in_a_seeded_run_factors(monkeypatch, kind, rate):
+    # the floor is the one proof of every covariance a recursion computes:
+    # gm's predict, update and manage each call it once per step (update
+    # only with a scan and a prior to correct), and engm's KDE and update
+    import phdtrack.gaussmix as gaussmix
+    import phdtrack.phd_gm as phd_gm
+    import phdtrack.scenario as scenario
+
+    stage, calls, updates = [None], Counter(), [0]
+    for module in (gaussmix, phd_gm):
+        def spy(covs, real=module.floor_covariances):
+            out = real(covs)
+            np.linalg.cholesky(out)
+            calls[stage[0]] += 1
+            return out
+
+        monkeypatch.setattr(module, "floor_covariances", spy)
+    for name, label in [(f"{kind}_predict", "predict"), (f"{kind}_update", "update"),
+                        ("prune_merge_cap", "manage"), (f"{kind}_extract", "extract")]:
+        def stage_fn(*args, real=getattr(scenario, name), label=label):
+            stage[0] = label
+            if label == "update":
+                updates[0] += bool(len(args[0]) and len(args[1]))
+            return real(*args)
+
+        monkeypatch.setattr(scenario, name, stage_fn)
+    records = run_filter(ScenarioConfig(t_end=20.0, seed=0, filter_kind=kind, runs=1,
+                                        models=Models(clutter=ClutterModel(rate=rate))))
+    assert len(records) == 20
+    assert calls["update"] == updates[0] > 0
+    assert set(calls) <= {"predict", "update", "manage"}
+    if kind == "gm":
+        assert calls["predict"] == calls["manage"] == 20
+    else:
+        assert 0 < calls["predict"] <= 20 and "manage" not in calls
 
 
 @pytest.mark.parametrize("kind, name, stage", [
